@@ -19,16 +19,11 @@
 #ifndef PMAF_BENCH_BENCHUTIL_H
 #define PMAF_BENCH_BENCHUTIL_H
 
-#include "support/NumParse.h"
-#include "support/ThreadPool.h"
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -114,51 +109,6 @@ inline std::string extractStringFlag(int &Argc, char **Argv,
   }
   Argc = Out;
   return Value;
-}
-
-/// Removes `--jobs=<n>` from argv and returns n, or \p Default when
-/// absent. `--jobs=0` means one worker per hardware thread. The caller
-/// decides what to do with the value — typically SolverOptions::Jobs plus
-/// support::setSharedParallelism for the matrix kernels.
-inline unsigned extractJobs(int &Argc, char **Argv, unsigned Default = 1) {
-  unsigned Jobs = Default;
-  int Out = 1;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strncmp(Argv[I], "--jobs=", 7) == 0) {
-      // Strict full-string parse: a malformed job count is a usage error
-      // (exit 2), never a silent fallback to 0 workers — a benchmark run
-      // at the wrong parallelism would record a wrong trajectory point.
-      std::optional<unsigned> Parsed =
-          support::parseUnsigned32(Argv[I] + 7);
-      if (!Parsed) {
-        std::fprintf(stderr,
-                     "error: --jobs expects an unsigned integer, got '%s' "
-                     "[invalid-flag-value]\n",
-                     Argv[I] + 7);
-        std::exit(2);
-      }
-      Jobs = *Parsed;
-    } else {
-      Argv[Out++] = Argv[I];
-    }
-  }
-  Argc = Out;
-  return Jobs;
-}
-
-/// The standard `--jobs` wiring of a bench main: extract the flag, resolve
-/// 0 to the hardware thread count, and size the process-wide shared pool
-/// the dense-matrix kernels use — once, at startup, never per repetition
-/// (recreating the pool mid-run would both skew timings and race in-flight
-/// users; setSharedParallelism refuses while tasks are in flight).
-/// \returns the resolved count, destined for SolverOptions::Jobs where the
-/// bench owns the SolverOptions.
-inline unsigned configureJobs(int &Argc, char **Argv) {
-  unsigned Jobs = extractJobs(Argc, Argv);
-  if (Jobs == 0)
-    Jobs = support::ThreadPool::hardwareConcurrency();
-  support::setSharedParallelism(Jobs);
-  return Jobs;
 }
 
 /// Collects BenchRecords and writes them as a JSON array of objects.

@@ -48,7 +48,6 @@ std::string chainProgram(unsigned N) {
 } // namespace
 
 int main(int argc, char **argv) {
-  bench::configureJobs(argc, argv);
   std::printf("Bayesian inference scaling in #vars (§6.2): dense matrices "
               "vs ADDs\n");
   bench::printRule(78);

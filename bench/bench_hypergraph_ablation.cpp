@@ -109,7 +109,6 @@ void leiaComparison(const char *Title, const char *Source,
 } // namespace
 
 int main(int argc, char **argv) {
-  bench::configureJobs(argc, argv);
   std::printf("Ablation (§2.3): hyper-graph p⊕ vs ordinary-graph join at "
               "probabilistic branches\n");
   bench::printRule(78);

@@ -72,7 +72,6 @@ std::vector<NamedSystem> buildSystems() {
 } // namespace
 
 int main(int argc, char **argv) {
-  bench::configureJobs(argc, argv);
   std::printf("PReMo-style solvers: Newton vs Kleene iterations to reach "
               "tolerance\n");
   bench::printRule(78);

@@ -2,7 +2,6 @@
 
 #include "cfg/Wto.h"
 
-#include <algorithm>
 #include <cassert>
 #include <limits>
 
@@ -89,75 +88,6 @@ private:
   uint64_t Num = 0;
 };
 
-/// Registers every node of \p Element (its own plus any nested body) as
-/// belonging to unit \p Unit.
-void collectUnitNodes(const WtoElement &Element, unsigned Unit,
-                      std::vector<unsigned> &UnitOf) {
-  UnitOf[Element.Node] = Unit;
-  for (const WtoElement &Child : Element.Body)
-    collectUnitNodes(Child, Unit, UnitOf);
-}
-
-/// Appends every node of \p Element to \p Members.
-void collectMemberNodes(const WtoElement &Element,
-                        std::vector<unsigned> &Members) {
-  Members.push_back(Element.Node);
-  for (const WtoElement &Child : Element.Body)
-    collectMemberNodes(Child, Members);
-}
-
-void planComponent(const WtoElement &Element,
-                   const std::vector<std::vector<unsigned>> &Successors,
-                   std::vector<unsigned> &UnitOf,
-                   std::vector<IntraComponentPlan> &Plans) {
-  if (!Element.IsComponent)
-    return;
-  const unsigned NoUnit = std::numeric_limits<unsigned>::max();
-  const unsigned NumUnits = static_cast<unsigned>(Element.Body.size());
-  // Tag the component's nodes with their owning unit. The head is left
-  // untagged: only the coordinator updates it, outside the batched pass,
-  // so arcs touching it never constrain the batching.
-  for (unsigned J = 0; J != NumUnits; ++J)
-    collectUnitNodes(Element.Body[J], J, UnitOf);
-  // Phase 1: every dependence arc whose endpoints lie in two distinct
-  // units is a conflict; record it against the later unit.
-  std::vector<std::vector<unsigned>> EarlierConflicts(NumUnits);
-  for (unsigned J = 0; J != NumUnits; ++J) {
-    std::vector<unsigned> Members;
-    collectMemberNodes(Element.Body[J], Members);
-    for (unsigned U : Members)
-      for (unsigned V : Successors[U]) {
-        unsigned K = UnitOf[V];
-        if (K == NoUnit || K == J)
-          continue;
-        EarlierConflicts[std::max(J, K)].push_back(std::min(J, K));
-      }
-  }
-  // Phase 2: greedy levels in body order — a unit sits one level above
-  // the highest-levelled earlier unit it conflicts with. Earlier levels
-  // are final when read because conflicts only ever point backwards.
-  std::vector<unsigned> Level(NumUnits, 0);
-  for (unsigned J = 0; J != NumUnits; ++J)
-    for (unsigned E : EarlierConflicts[J])
-      Level[J] = std::max(Level[J], Level[E] + 1);
-  IntraComponentPlan &Plan = Plans[Element.Node];
-  unsigned NumLevels = 0;
-  for (unsigned J = 0; J != NumUnits; ++J)
-    NumLevels = std::max(NumLevels, Level[J] + 1);
-  Plan.Batches.assign(NumLevels, {});
-  for (unsigned J = 0; J != NumUnits; ++J)
-    Plan.Batches[Level[J]].push_back(J);
-  for (const std::vector<unsigned> &Batch : Plan.Batches)
-    Plan.MaxWidth =
-        std::max(Plan.MaxWidth, static_cast<unsigned>(Batch.size()));
-  // Untag before descending so nested components see only their own
-  // units, then plan them too.
-  for (unsigned J = 0; J != NumUnits; ++J)
-    collectUnitNodes(Element.Body[J], NoUnit, UnitOf);
-  for (const WtoElement &Child : Element.Body)
-    planComponent(Child, Successors, UnitOf, Plans);
-}
-
 void elementToString(const WtoElement &Element, std::string &Out) {
   if (!Out.empty() && Out.back() != '(')
     Out += ' ';
@@ -184,19 +114,6 @@ std::string Wto::toString() const {
   for (const WtoElement &Element : Elements)
     elementToString(Element, Out);
   return Out;
-}
-
-std::vector<IntraComponentPlan>
-cfg::computeIntraPlans(const Wto &Order,
-                       const std::vector<std::vector<unsigned>> &Successors) {
-  const unsigned NumNodes =
-      static_cast<unsigned>(Order.WideningPoint.size());
-  std::vector<IntraComponentPlan> Plans(NumNodes);
-  std::vector<unsigned> UnitOf(NumNodes,
-                               std::numeric_limits<unsigned>::max());
-  for (const WtoElement &Element : Order.Elements)
-    planComponent(Element, Successors, UnitOf, Plans);
-  return Plans;
 }
 
 std::vector<unsigned> Wto::positions() const {

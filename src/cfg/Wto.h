@@ -97,34 +97,6 @@ reachableFrom(const std::vector<std::vector<unsigned>> &Successors,
   return Reached;
 }
 
-/// Conflict-free batching of one WTO component's body, the schedule of
-/// the intra-component parallel strategy. Each *unit* is one top-level
-/// body element of the component (a plain vertex or a whole nested
-/// component, with all of its nodes); two units *conflict* when any
-/// dependence arc connects their member sets, in either direction.
-/// Batches[b] lists unit indices (positions in WtoElement::Body, in body
-/// order); units within a batch are pairwise conflict-free, and every
-/// conflict crosses from a lower to a strictly higher batch in body
-/// order. Running batches in sequence with a barrier between them is
-/// therefore extensionally identical to the sequential body pass: every
-/// unit reads exactly the values it would have read sequentially.
-struct IntraComponentPlan {
-  std::vector<std::vector<unsigned>> Batches;
-  /// Size of the widest batch (1 everywhere = the plan degenerates to
-  /// the sequential body order).
-  unsigned MaxWidth = 0;
-};
-
-/// Computes an IntraComponentPlan for every component of \p Order at any
-/// nesting depth, by greedy level assignment in body order (unit j's
-/// level is one more than the highest level among earlier units it
-/// conflicts with). \p Successors is the dependence graph the order was
-/// computed over. Indexed by component-head node id; non-head entries
-/// are empty plans.
-std::vector<IntraComponentPlan>
-computeIntraPlans(const Wto &Order,
-                  const std::vector<std::vector<unsigned>> &Successors);
-
 } // namespace cfg
 } // namespace pmaf
 

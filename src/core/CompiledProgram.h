@@ -15,18 +15,10 @@
 ///    indexed by hyper-edge id — the *interpret-cache invariant*. The
 ///    monolithic solver used to re-interpret on every node update, which
 ///    for LEIA meant rebuilding the same polyhedra thousands of times per
-///    fixpoint. Cache slots guard their first fill with a `std::once_flag`,
-///    so concurrent transformer() calls (parallel SCC workers, a
-///    precompile racing a sequential solve) are safe for any domain whose
-///    interpret is thread-safe, and the invariant holds under concurrency:
-///    exactly one interpret per edge, ever.
+///    fixpoint.
 ///  * **Precompilation.** precompile() interprets every `seq` edge up
-///    front. Interpreting edges is embarrassingly parallel — for LEIA and
-///    BI each interpret builds polyhedra/matrices from scratch — so when
-///    given a thread pool and a `ThreadSafeInterpret` domain it fans the
-///    edges out with parallelFor; otherwise it fills the cache
-///    sequentially. The lazy transformer() path remains for sequential
-///    use.
+///    front, for callers that want to time transformer compilation apart
+///    from iteration; solve() itself fills the cache lazily.
 ///  * **Right-hand sides.** evalRhs() evaluates one inequality of the
 ///    system against a value vector, using the cached transformers; no
 ///    later layer walks the AST.
@@ -34,12 +26,9 @@
 ///    (dependents(u) = nodes whose right-hand side reads u), precomputed
 ///    from cfg::HyperGraph for the worklist scheduler and for the WTO.
 ///  * **Iteration order.** The WTO of the dependence graph rooted at the
-///    procedure exits, with two derived artifacts: the widening-operator
-///    kind per widening point (the kinds of the component's guard edges,
-///    under the precedence ndet ▷ prob ▷ cond — see wideningKinds()),
-///    and the per-component conflict-free batch plans
-///    of the intra-component parallel scheduler (built lazily; only
-///    `--strategy=parallel-intra` pays for them).
+///    procedure exits, with the widening-operator kind per widening point
+///    derived from it (the kinds of the component's guard edges, under
+///    the precedence ndet ▷ prob ▷ cond — see wideningKinds()).
 ///
 /// A CompiledProgram may be reused across repeated solve() calls over the
 /// same domain instance (the transformer cache then persists, which is
@@ -54,12 +43,9 @@
 #include "cfg/Wto.h"
 #include "core/Domain.h"
 #include "core/Instrumentation.h"
-#include "support/ThreadPool.h"
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -123,43 +109,22 @@ public:
     return WideningKinds;
   }
 
-  /// Conflict-free intra-component batch plans (the ParallelIntra
-  /// scheduler's schedule), indexed by component-head node id. Built on
-  /// first request — only parallel-intra solves pay — and safe against
-  /// concurrent first requests.
-  const std::vector<cfg::IntraComponentPlan> &intraPlans() {
-    std::call_once(IntraPlansOnce, [&] {
-      IntraPlans = cfg::computeIntraPlans(Order, Dependents);
-    });
-    return IntraPlans;
-  }
-
   /// The abstract transformer of `seq` hyper-edge \p EdgeIndex; interprets
   /// the edge's data action on first request and serves the cached value
-  /// afterwards. Concurrent first requests are serialized per slot, so
-  /// exactly one thread interprets and the rest observe a cache hit; with
-  /// a thread pool in play, onInterpret may fire from worker threads.
+  /// afterwards.
   const Value &transformer(unsigned EdgeIndex) {
-    Slot &S = Transformers[EdgeIndex];
-    bool Interpreted = false;
-    std::call_once(S.Once, [&] {
+    std::optional<Value> &Slot = Transformers[EdgeIndex];
+    const bool Hit = Slot.has_value();
+    if (!Hit) {
       assert(Graph.edges()[EdgeIndex].Ctrl.TheKind ==
                  cfg::ControlAction::Kind::Seq &&
              "only seq edges carry data actions");
-      S.Stored.emplace(
-          Dom.interpret(Graph.edges()[EdgeIndex].Ctrl.DataAction));
-      Interpreted = true;
-    });
-    if (Interpreted) {
-      InterpretCallCount.fetch_add(1, std::memory_order_relaxed);
-      if (Observer)
-        Observer->onInterpret(EdgeIndex, /*CacheHit=*/false);
-    } else {
-      InterpretCacheHitCount.fetch_add(1, std::memory_order_relaxed);
-      if (Observer)
-        Observer->onInterpret(EdgeIndex, /*CacheHit=*/true);
+      Slot.emplace(Dom.interpret(Graph.edges()[EdgeIndex].Ctrl.DataAction));
     }
-    return *S.Stored;
+    ++(Hit ? InterpretCacheHitCount : InterpretCallCount);
+    if (Observer)
+      Observer->onInterpret(EdgeIndex, Hit);
+    return *Slot;
   }
 
   /// Adopts an already-computed transformer for `seq` edge \p EdgeIndex
@@ -167,67 +132,45 @@ public:
   /// edit rebuilds the graph, transformers of edges in *unchanged*
   /// procedures are copied over from the previous CompiledProgram (they
   /// are pure functions of the edge's data action and the variable table,
-  /// both unchanged). Goes through the slot's once_flag, so it composes
-  /// with concurrent transformer()/precompile() calls and is a no-op when
-  /// the slot is already filled. \returns true when this call filled the
-  /// slot.
+  /// both unchanged). A no-op when the slot is already filled.
+  /// \returns true when this call filled the slot.
   bool seedTransformer(unsigned EdgeIndex, Value V) {
-    Slot &S = Transformers[EdgeIndex];
-    bool Seeded = false;
-    std::call_once(S.Once, [&] {
-      assert(Graph.edges()[EdgeIndex].Ctrl.TheKind ==
-                 cfg::ControlAction::Kind::Seq &&
-             "only seq edges carry transformers");
-      S.Stored.emplace(std::move(V));
-      Seeded = true;
-    });
-    if (Seeded)
-      SeededTransformerCount.fetch_add(1, std::memory_order_relaxed);
-    return Seeded;
+    std::optional<Value> &Slot = Transformers[EdgeIndex];
+    if (Slot)
+      return false;
+    assert(Graph.edges()[EdgeIndex].Ctrl.TheKind ==
+               cfg::ControlAction::Kind::Seq &&
+           "only seq edges carry transformers");
+    Slot.emplace(std::move(V));
+    ++SeededTransformerCount;
+    return true;
   }
 
   /// The cached transformer of \p EdgeIndex when its slot is filled,
   /// nullptr otherwise. Read-only: never triggers an interpret and never
-  /// counts as cache traffic. Callers must not race this against a
-  /// concurrent first fill of the same slot (the server's session lock
-  /// serializes edits against solves).
+  /// counts as cache traffic.
   const Value *peekTransformer(unsigned EdgeIndex) const {
-    const Slot &S = Transformers[EdgeIndex];
-    return S.Stored ? &*S.Stored : nullptr;
+    const std::optional<Value> &Slot = Transformers[EdgeIndex];
+    return Slot ? &*Slot : nullptr;
   }
 
   /// Transformer slots filled by seedTransformer (adopted from a prior
   /// compiled program) rather than by Dom.interpret.
-  uint64_t seededTransformers() const {
-    return SeededTransformerCount.load(std::memory_order_relaxed);
-  }
+  uint64_t seededTransformers() const { return SeededTransformerCount; }
 
-  /// Fills the transformer cache for every `seq` edge up front, in
-  /// parallel over \p Pool when the domain declares ThreadSafeInterpret
-  /// (sequentially otherwise, or when \p Pool is null). Idempotent — edges
-  /// an earlier solve already interpreted are cache hits — and safe to
-  /// race against concurrent transformer() calls. \returns the number of
-  /// `seq` edges in the program (filled slots, not fresh interprets).
-  unsigned precompile(support::ThreadPool *Pool = nullptr) {
-    std::vector<unsigned> SeqEdges;
+  /// Fills the transformer cache for every `seq` edge up front.
+  /// Idempotent — edges an earlier solve already interpreted are cache
+  /// hits. \returns the number of `seq` edges in the program (filled
+  /// slots, not fresh interprets).
+  unsigned precompile() {
+    unsigned SeqEdges = 0;
     const auto &Edges = Graph.edges();
     for (unsigned E = 0; E != Edges.size(); ++E)
-      if (Edges[E].Ctrl.TheKind == cfg::ControlAction::Kind::Seq)
-        SeqEdges.push_back(E);
-    if constexpr (threadSafeInterpret<D>()) {
-      if (Pool) {
-        // Bracket the fan-out for domains with parallel-phase hooks.
-        // solve() already holds an outer bracket around its precompile;
-        // brackets nest, so this also covers standalone precompilation.
-        ParallelPhase<D> Phase(Dom, Pool->size() + 1, true);
-        Pool->parallelFor(0, SeqEdges.size(),
-                          [&](size_t I) { transformer(SeqEdges[I]); });
-        return static_cast<unsigned>(SeqEdges.size());
+      if (Edges[E].Ctrl.TheKind == cfg::ControlAction::Kind::Seq) {
+        transformer(E);
+        ++SeqEdges;
       }
-    }
-    for (unsigned E : SeqEdges)
-      transformer(E);
-    return static_cast<unsigned>(SeqEdges.size());
+    return SeqEdges;
   }
 
   /// Right-hand side of node \p V's inequality (§4.3), evaluated against
@@ -258,21 +201,10 @@ public:
 
   /// Lifetime totals of the transformer cache (across every solve this
   /// compiled program served).
-  uint64_t interpretCalls() const {
-    return InterpretCallCount.load(std::memory_order_relaxed);
-  }
-  uint64_t interpretCacheHits() const {
-    return InterpretCacheHitCount.load(std::memory_order_relaxed);
-  }
+  uint64_t interpretCalls() const { return InterpretCallCount; }
+  uint64_t interpretCacheHits() const { return InterpretCacheHitCount; }
 
 private:
-  /// A transformer cache slot; the once_flag makes the first fill safe
-  /// against concurrent requests (call_once publishes Stored).
-  struct Slot {
-    std::once_flag Once;
-    std::optional<Value> Stored;
-  };
-
   /// Rank of a control-action kind in the widening-operator precedence
   /// (higher wins); seq/call rank 0 so a branch kind always dominates.
   static int branchPrecedence(cfg::ControlAction::Kind K) {
@@ -347,14 +279,12 @@ private:
   D &Dom;
   SolverObserver *Observer = nullptr;
   std::vector<std::vector<unsigned>> Dependents;
-  std::vector<Slot> Transformers;
+  std::vector<std::optional<Value>> Transformers;
   cfg::Wto Order;
   std::vector<cfg::ControlAction::Kind> WideningKinds;
-  std::once_flag IntraPlansOnce;
-  std::vector<cfg::IntraComponentPlan> IntraPlans;
-  std::atomic<uint64_t> InterpretCallCount{0};
-  std::atomic<uint64_t> InterpretCacheHitCount{0};
-  std::atomic<uint64_t> SeededTransformerCount{0};
+  uint64_t InterpretCallCount = 0;
+  uint64_t InterpretCacheHitCount = 0;
+  uint64_t SeededTransformerCount = 0;
 };
 
 } // namespace core

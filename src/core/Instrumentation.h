@@ -14,21 +14,13 @@
 /// fixpoint computation — so any number of measurement harnesses (the CLI's
 /// `--stats`, the bench binaries' JSON emitters, future tracing backends)
 /// can share the single hook without touching the solver or the domains.
-///
-/// **Concurrency.** When the solver runs with a thread pool (Jobs > 1),
-/// per-node and per-edge callbacks — onNodeUpdate, onWidening,
-/// onComponentStabilized, onInterpret — may arrive concurrently from
-/// worker threads; observers must make those handlers data-race free.
-/// Begin/end bracket events (onSolveBegin, onPrecompileEnd, onSolveEnd)
-/// always come from the coordinating thread, before workers start or
-/// after they quiesce. The stock SolverInstrumentation below is safe.
+/// Every event arrives on the thread that called solve().
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PMAF_CORE_INSTRUMENTATION_H
 #define PMAF_CORE_INSTRUMENTATION_H
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -50,8 +42,8 @@ struct NumericLayerStats {
   uint64_t ConversionCacheHits = 0;
   uint64_t ConversionCacheMisses = 0;
   /// The subset of ConversionCacheHits served by the process-wide sharded
-  /// L2 (the thread-local L1 missed: a stolen component, a fresh pool
-  /// worker, or conversions inherited from an earlier solve).
+  /// L2 (the thread-local L1 missed: conversions another thread, or an
+  /// earlier solve on a since-finished thread, already paid for).
   uint64_t SharedCacheHits = 0;
   /// Memo entries the bounded caches dropped at their caps.
   uint64_t CacheEvictions = 0;
@@ -95,110 +87,38 @@ public:
 
   /// The transformer of `seq` edge \p EdgeIndex was requested; \p CacheHit
   /// is false exactly when Dom.interpret ran (at most once per edge per
-  /// compiled program — the interpret-cache invariant). May fire from a
-  /// pool worker during parallel precompilation or a parallel solve.
+  /// compiled program — the interpret-cache invariant).
   virtual void onInterpret(unsigned EdgeIndex, bool CacheHit) {
     (void)EdgeIndex;
     (void)CacheHit;
   }
 
-  /// The up-front transformer precompilation pass finished: the cache now
-  /// covers all \p Transformers `seq` edges, after \p Seconds of wall
-  /// clock. Emitted (from the coordinating thread, before iteration
-  /// begins) only when the solve requested precompilation (Jobs > 1).
-  virtual void onPrecompileEnd(unsigned Transformers, double Seconds) {
-    (void)Transformers;
-    (void)Seconds;
-  }
-
-  /// The intra-component parallel scheduler ran one conflict-free batch
-  /// of \p Width units inside the component headed by \p Head, and the
-  /// coordinator waited \p BarrierWaitSeconds at the closing barrier
-  /// after exhausting its own share of the work. Emitted from the
-  /// coordinating thread (batches close on it), only for batches that
-  /// actually fanned out (Width >= 2).
-  virtual void onIntraBatch(unsigned Head, unsigned Width,
-                            double BarrierWaitSeconds) {
-    (void)Head;
-    (void)Width;
-    (void)BarrierWaitSeconds;
-  }
-
   /// The solve finished over a domain that reports numeric-layer counters
   /// (core/Domain.h); \p Stats holds this solve's deltas (peaks are
-  /// high-water marks since the harness last reset them). Emitted from
-  /// the coordinating thread, right before onSolveEnd.
+  /// high-water marks since the harness last reset them). Emitted right
+  /// before onSolveEnd.
   virtual void onNumericLayer(const NumericLayerStats &Stats) {
     (void)Stats;
-  }
-
-  /// The solve's pool queueing totals: \p TasksRun tasks executed across
-  /// the per-solve pool's workers, of which \p Steals were taken from
-  /// another worker's deque and \p AffinityHits were pinned tasks run by
-  /// their owner. One aggregate event per parallel solve, emitted from
-  /// the coordinating thread after the pool quiesces — deliberately not a
-  /// per-steal callback, which would put an observer virtual call on the
-  /// stealing fast path.
-  virtual void onPoolQueue(uint64_t TasksRun, uint64_t Steals,
-                           uint64_t AffinityHits) {
-    (void)TasksRun;
-    (void)Steals;
-    (void)AffinityHits;
   }
 };
 
 /// The stock timing/counter observer: tallies every event and the
 /// wall-clock time between onSolveBegin and onSolveEnd. Counters
 /// accumulate across solves; reset() starts a fresh measurement.
-///
-/// The per-event tallies are atomics (relaxed increments — they are
-/// independent counters, not synchronization), so this observer may be
-/// handed to a parallel solve as-is. The timing fields stay plain: they
-/// are only touched by the bracket events, which the solver emits from
-/// the coordinating thread.
 class SolverInstrumentation : public SolverObserver {
 public:
-  std::atomic<uint64_t> Solves{0};
-  std::atomic<uint64_t> NodeUpdates{0};
-  std::atomic<uint64_t> ValueChanges{0};
-  std::atomic<uint64_t> WideningApplications{0};
-  std::atomic<uint64_t> ComponentStabilizations{0};
-  std::atomic<uint64_t> InterpretCalls{0};
-  std::atomic<uint64_t> InterpretCacheHits{0};
+  uint64_t Solves = 0;
+  uint64_t NodeUpdates = 0;
+  uint64_t ValueChanges = 0;
+  uint64_t WideningApplications = 0;
+  uint64_t ComponentStabilizations = 0;
+  uint64_t InterpretCalls = 0;
+  uint64_t InterpretCacheHits = 0;
   double SolveSeconds = 0.0;
-  /// Wall clock and coverage of the up-front precompilation passes
-  /// (zero unless some solve ran with Jobs > 1).
-  double PrecompileSeconds = 0.0;
-  uint64_t PrecompiledTransformers = 0;
   bool LastConverged = true;
-  /// Intra-component batch traffic (parallel-intra solves only): batches
-  /// that fanned out, a width histogram (bucket = min(width, MaxWidthBucket)),
-  /// and cumulative coordinator barrier-wait time.
-  static constexpr unsigned MaxWidthBucket = 16;
-  std::atomic<uint64_t> IntraBatches{0};
-  std::atomic<uint64_t> IntraWidthHistogram[MaxWidthBucket + 1] = {};
-  std::atomic<uint64_t> IntraBarrierWaitNanos{0};
   /// Numeric-layer counters summed over observed solves (peaks take the
   /// max); all-zero unless some solve's domain reports them.
   NumericLayerStats Numeric;
-  /// Pool queueing aggregates summed over parallel solves (onPoolQueue);
-  /// all-zero for sequential runs.
-  std::atomic<uint64_t> PoolTasksRun{0};
-  std::atomic<uint64_t> PoolSteals{0};
-  std::atomic<uint64_t> PoolAffinityHits{0};
-
-  SolverInstrumentation() = default;
-  /// Copyable despite the atomics (snapshot semantics) so harnesses can
-  /// return instrumentation by value; take the snapshot only while no
-  /// solve is running.
-  SolverInstrumentation(const SolverInstrumentation &Other)
-      : SolverObserver(Other) {
-    copyFrom(Other);
-  }
-  SolverInstrumentation &operator=(const SolverInstrumentation &Other) {
-    copyFrom(Other);
-    return *this;
-  }
 
   void onSolveBegin(unsigned) override {
     Start = std::chrono::steady_clock::now();
@@ -207,42 +127,22 @@ public:
     SolveSeconds += std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - Start)
                         .count();
-    Solves.fetch_add(1, std::memory_order_relaxed);
+    ++Solves;
     LastConverged = Converged;
   }
   void onNodeUpdate(unsigned, bool Changed) override {
-    NodeUpdates.fetch_add(1, std::memory_order_relaxed);
+    ++NodeUpdates;
     if (Changed)
-      ValueChanges.fetch_add(1, std::memory_order_relaxed);
+      ++ValueChanges;
   }
-  void onWidening(unsigned) override {
-    WideningApplications.fetch_add(1, std::memory_order_relaxed);
-  }
+  void onWidening(unsigned) override { ++WideningApplications; }
   void onComponentStabilized(unsigned, unsigned) override {
-    ComponentStabilizations.fetch_add(1, std::memory_order_relaxed);
+    ++ComponentStabilizations;
   }
   void onInterpret(unsigned, bool CacheHit) override {
-    if (CacheHit)
-      InterpretCacheHits.fetch_add(1, std::memory_order_relaxed);
-    else
-      InterpretCalls.fetch_add(1, std::memory_order_relaxed);
-  }
-  void onPrecompileEnd(unsigned Transformers, double Seconds) override {
-    PrecompiledTransformers += Transformers;
-    PrecompileSeconds += Seconds;
-  }
-  void onIntraBatch(unsigned, unsigned Width,
-                    double BarrierWaitSeconds) override {
-    IntraBatches.fetch_add(1, std::memory_order_relaxed);
-    unsigned Bucket = Width < MaxWidthBucket ? Width : MaxWidthBucket;
-    IntraWidthHistogram[Bucket].fetch_add(1, std::memory_order_relaxed);
-    IntraBarrierWaitNanos.fetch_add(
-        static_cast<uint64_t>(BarrierWaitSeconds * 1e9),
-        std::memory_order_relaxed);
+    ++(CacheHit ? InterpretCacheHits : InterpretCalls);
   }
   void onNumericLayer(const NumericLayerStats &Stats) override {
-    // Coordinating-thread event (like the other brackets), so plain
-    // read-modify-write is fine.
     Numeric.MinimizationCalls += Stats.MinimizationCalls;
     Numeric.ConversionCacheHits += Stats.ConversionCacheHits;
     Numeric.ConversionCacheMisses += Stats.ConversionCacheMisses;
@@ -253,12 +153,6 @@ public:
       Numeric.PeakGeneratorRows = Stats.PeakGeneratorRows;
     if (Stats.MaxPackWidth > Numeric.MaxPackWidth)
       Numeric.MaxPackWidth = Stats.MaxPackWidth;
-  }
-  void onPoolQueue(uint64_t TasksRun, uint64_t Steals,
-                   uint64_t AffinityHits) override {
-    PoolTasksRun.fetch_add(TasksRun, std::memory_order_relaxed);
-    PoolSteals.fetch_add(Steals, std::memory_order_relaxed);
-    PoolAffinityHits.fetch_add(AffinityHits, std::memory_order_relaxed);
   }
 
   void reset() { *this = SolverInstrumentation(); }
@@ -273,48 +167,15 @@ public:
         "; interpret cache: %llu misses (= distinct seq edges evaluated), "
         "%llu hits\n"
         "; wall clock: %.6f s over %llu solve(s)\n",
-        static_cast<unsigned long long>(NodeUpdates.load()),
-        static_cast<unsigned long long>(ValueChanges.load()),
-        static_cast<unsigned long long>(WideningApplications.load()),
-        static_cast<unsigned long long>(ComponentStabilizations.load()),
+        static_cast<unsigned long long>(NodeUpdates),
+        static_cast<unsigned long long>(ValueChanges),
+        static_cast<unsigned long long>(WideningApplications),
+        static_cast<unsigned long long>(ComponentStabilizations),
         LastConverged ? "yes" : "NO",
-        static_cast<unsigned long long>(InterpretCalls.load()),
-        static_cast<unsigned long long>(InterpretCacheHits.load()),
-        SolveSeconds, static_cast<unsigned long long>(Solves.load()));
+        static_cast<unsigned long long>(InterpretCalls),
+        static_cast<unsigned long long>(InterpretCacheHits), SolveSeconds,
+        static_cast<unsigned long long>(Solves));
     std::string Out = Buffer;
-    if (PrecompiledTransformers > 0) {
-      std::snprintf(Buffer, sizeof(Buffer),
-                    "; precompile: %llu transformers in %.6f s\n",
-                    static_cast<unsigned long long>(PrecompiledTransformers),
-                    PrecompileSeconds);
-      Out += Buffer;
-    }
-    if (uint64_t Batches = IntraBatches.load()) {
-      std::snprintf(Buffer, sizeof(Buffer),
-                    "; intra-scc: %llu parallel batches, %.6f s barrier "
-                    "wait, widths:",
-                    static_cast<unsigned long long>(Batches),
-                    IntraBarrierWaitNanos.load() * 1e-9);
-      Out += Buffer;
-      for (unsigned W = 0; W <= MaxWidthBucket; ++W)
-        if (uint64_t N = IntraWidthHistogram[W].load()) {
-          std::snprintf(Buffer, sizeof(Buffer), " %u%s:%llu", W,
-                        W == MaxWidthBucket ? "+" : "",
-                        static_cast<unsigned long long>(N));
-          Out += Buffer;
-        }
-      Out += '\n';
-    }
-    if (uint64_t Tasks = PoolTasksRun.load()) {
-      std::snprintf(
-          Buffer, sizeof(Buffer),
-          "; pool queue: %llu tasks run, %llu steals, %llu affinity "
-          "hits\n",
-          static_cast<unsigned long long>(Tasks),
-          static_cast<unsigned long long>(PoolSteals.load()),
-          static_cast<unsigned long long>(PoolAffinityHits.load()));
-      Out += Buffer;
-    }
     if (Numeric.MinimizationCalls > 0 || Numeric.ConversionCacheHits > 0) {
       std::snprintf(
           Buffer, sizeof(Buffer),
@@ -336,29 +197,6 @@ public:
   }
 
 private:
-  void copyFrom(const SolverInstrumentation &Other) {
-    Solves.store(Other.Solves.load());
-    NodeUpdates.store(Other.NodeUpdates.load());
-    ValueChanges.store(Other.ValueChanges.load());
-    WideningApplications.store(Other.WideningApplications.load());
-    ComponentStabilizations.store(Other.ComponentStabilizations.load());
-    InterpretCalls.store(Other.InterpretCalls.load());
-    InterpretCacheHits.store(Other.InterpretCacheHits.load());
-    SolveSeconds = Other.SolveSeconds;
-    PrecompileSeconds = Other.PrecompileSeconds;
-    PrecompiledTransformers = Other.PrecompiledTransformers;
-    LastConverged = Other.LastConverged;
-    IntraBatches.store(Other.IntraBatches.load());
-    for (unsigned W = 0; W <= MaxWidthBucket; ++W)
-      IntraWidthHistogram[W].store(Other.IntraWidthHistogram[W].load());
-    IntraBarrierWaitNanos.store(Other.IntraBarrierWaitNanos.load());
-    PoolTasksRun.store(Other.PoolTasksRun.load());
-    PoolSteals.store(Other.PoolSteals.load());
-    PoolAffinityHits.store(Other.PoolAffinityHits.load());
-    Numeric = Other.Numeric;
-    Start = Other.Start;
-  }
-
   std::chrono::steady_clock::time_point Start;
 };
 

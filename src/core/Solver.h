@@ -23,8 +23,8 @@
 ///     cached `seq`-edge transformers (one Dom.interpret per edge),
 ///     right-hand-side evaluation, dependence structure;
 ///   * core/Schedule.h — pluggable iteration strategies (WTO-recursive,
-///     round-robin, dependency-driven worklist, parallel per-SCC) behind a
-///     domain-free Scheduler interface;
+///     round-robin, dependency-driven worklist) behind a domain-free
+///     Scheduler interface;
 ///   * core/Instrumentation.h — passive observers of solver events.
 ///
 /// The facade itself owns what is neither program structure nor iteration
@@ -33,16 +33,7 @@
 /// under the precedence ndet ▷ prob ▷ cond — see
 /// CompiledProgram::wideningKinds — which maintains the invariant of
 /// Obs 4.9: old ⊑ new at every `old ∇ new`), convergence accounting, and
-/// the update budget — plus the parallel-engine plumbing: when
-/// SolverOptions::Jobs asks for more than one worker and the domain
-/// declares ThreadSafeInterpret, solve() owns a per-solve thread pool,
-/// precompiles all `seq`-edge transformers on it before iteration starts,
-/// and hands it to the scheduler (IterationStrategy::ParallelScc and
-/// ParallelIntra use it). Update accounting switches to atomics so
-/// concurrent workers can share the counters; per-node state (values,
-/// update counts) needs no locks because each node is written by exactly
-/// one worker at a time (see ParallelSccScheduler and
-/// ParallelIntraScheduler).
+/// the update budget. A solve runs on the calling thread.
 ///
 /// The value computed at a procedure's entry node is that procedure's
 /// summary (§2.3).
@@ -58,12 +49,8 @@
 #include "core/Domain.h"
 #include "core/Instrumentation.h"
 #include "core/Schedule.h"
-#include "support/ThreadPool.h"
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -127,21 +114,10 @@ struct SolverOptions {
   /// Safety valve: abort (Converged=false) after this many node updates.
   uint64_t MaxUpdates = 5'000'000;
 
-  /// Worker threads for the parallel engine: up-front transformer
-  /// precompilation and the ParallelScc scheduler. 1 (the default) keeps
-  /// the solve fully sequential and pool-free; 0 means one worker per
-  /// hardware thread. Domains that do not declare ThreadSafeInterpret
-  /// (core/Domain.h) are always solved sequentially — Jobs > 1 then still
-  /// precompiles transformers up front, just on the calling thread.
+  /// Unused: solves are sequential. Kept only because the repository
+  /// benchmark (perfbench/driver.cpp) assigns it; remove it together with
+  /// that assignment.
   unsigned Jobs = 1;
-
-  /// Component→worker affinity for the parallel schedulers: pin an SCC's
-  /// stabilization rounds (ParallelScc) and a body unit's batch slot
-  /// (ParallelIntra) to a fixed pool worker so its thread-local
-  /// conversion memos stay hot across re-iterations; the pool still
-  /// steals from a saturated owner. Fixpoints are identical either way —
-  /// the switch exists for A/B measurement and the parity sweep.
-  bool Affinity = true;
 
   /// Numeric backend for polyhedra-based domains. Consumed by the
   /// harnesses when they construct the domain (the solver template never
@@ -183,38 +159,6 @@ struct SolverStats {
   uint64_t InterpretCalls = 0;
   /// Transformer-cache hits during this solve.
   uint64_t InterpretCacheHits = 0;
-  /// `seq` edges covered by the up-front precompilation pass (zero when
-  /// the solve was lazy, i.e. Jobs == 1).
-  uint64_t PrecompiledTransformers = 0;
-  /// Wall-clock seconds of the precompilation pass.
-  double PrecompileSeconds = 0.0;
-  /// Cumulative busy seconds across pool workers; utilization over the
-  /// whole solve is ThreadBusySeconds / (JobsUsed * wall seconds).
-  double ThreadBusySeconds = 0.0;
-  /// Worker threads the solve actually used (1 = sequential, either by
-  /// request or because the domain is not ThreadSafeInterpret).
-  unsigned JobsUsed = 1;
-  /// High-water mark of simultaneously in-flight SCC stabilizations under
-  /// the ParallelScc scheduler (1 for every sequential strategy) — the
-  /// observed, not theoretical, SCC-level parallelism of the solve.
-  unsigned MaxParallelSccs = 1;
-  /// Intra-component batches the ParallelIntra scheduler fanned out
-  /// (zero for every other strategy), the widest batch executed, and the
-  /// seconds the coordinator spent waiting at batch barriers.
-  uint64_t IntraBatchesRun = 0;
-  unsigned MaxIntraBatchWidth = 0;
-  double IntraBarrierWaitSeconds = 0.0;
-  /// Pool queueing for the solve (all zero for sequential solves): tasks
-  /// executed across workers, tasks taken from another worker's deque,
-  /// and pinned tasks run by their owning worker. Steals low and
-  /// affinity hits high is the locality protocol working; steals high
-  /// means the SCC/batch structure is too imbalanced for pinning and the
-  /// pool is rebalancing instead.
-  uint64_t PoolTasksRun = 0;
-  uint64_t PoolSteals = 0;
-  uint64_t PoolAffinityHits = 0;
-  /// Per-worker breakdown of the same counters (index = worker).
-  std::vector<support::ThreadPool::WorkerQueueStats> PoolWorkers;
   /// Numeric-layer counters for domains that report them (all-zero
   /// otherwise): per-solve deltas of the monotone counters, current
   /// high-water marks for the peaks (reset via poly::resetNumericPeaks).
@@ -291,84 +235,30 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
   // across solves; rooted at the exits so values flow leaf-to-root, §2.3).
   const cfg::Wto &Order = Compiled.wto();
 
-  // Parallel engine setup. The pool is per-solve (distinct from the
-  // process-wide shared pool the matrix kernels use) and only exists when
-  // both the caller asked for parallelism and the domain allows it.
-  const unsigned Jobs = Opts.Jobs == 0
-                            ? support::ThreadPool::hardwareConcurrency()
-                            : Opts.Jobs;
-  constexpr bool ParallelSafe = threadSafeInterpret<D>();
-  std::unique_ptr<support::ThreadPool> Pool;
-  if (Jobs > 1 && ParallelSafe)
-    Pool = std::make_unique<support::ThreadPool>(Jobs);
-  Result.Stats.JobsUsed = Pool ? Pool->size() : 1;
-
-  // Domains with parallel-phase hooks (core/Domain.h) reroute their
-  // operations through per-thread state between these brackets; the guard
-  // covers the parallel schedulers' whole iteration (intra-component
-  // batches included) and closes only after they quiesce. Sequential
-  // strategies skip the solve-wide bracket even with Jobs > 1 — their
-  // iteration runs on the calling thread, and precompile() brackets its
-  // own fan-out — so they keep the domains' direct (arena-free) path.
-  // Workers = pool + caller.
-  const bool ParallelIteration =
-      Opts.Strategy == IterationStrategy::ParallelScc ||
-      Opts.Strategy == IterationStrategy::ParallelIntra;
-  ParallelPhase<D> Phase(Dom, Pool ? Pool->size() + 1 : 1,
-                         Pool != nullptr && ParallelIteration);
-
-  // With more than one job requested, pay for every transformer up front
-  // (in parallel when the domain permits) so the iteration phase never
-  // stalls on an interpret.
-  if (Jobs > 1) {
-    auto PrecompileStart = std::chrono::steady_clock::now();
-    Result.Stats.PrecompiledTransformers = Compiled.precompile(Pool.get());
-    Result.Stats.PrecompileSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      PrecompileStart)
-            .count();
-    if (Observer)
-      Observer->onPrecompileEnd(
-          static_cast<unsigned>(Result.Stats.PrecompiledTransformers),
-          Result.Stats.PrecompileSeconds);
-  }
-
   std::vector<unsigned> UpdateCount(NumNodes, 0);
+  SolverStats &Stats = Result.Stats;
 
-  // Shared update accounting. Atomics because ParallelScc runs Update from
-  // several workers at once; relaxed ordering suffices — these are pure
-  // counters, and the scheduler orders the value vector itself.
-  std::atomic<uint64_t> NodeUpdates{0};
-  std::atomic<uint64_t> WideningApplications{0};
-  std::atomic<bool> Converged{true};
-
-  // Updates node V; returns true if its value changed. Safe to call
-  // concurrently for nodes in different SCCs: per-node state (Values,
-  // UpdateCount) is only ever touched by the worker that owns V's SCC.
+  // Updates node V; returns true if its value changed.
   auto Update = [&](unsigned V) -> bool {
     // Frozen under warm start: the prior fixpoint value stands, no
     // domain operation and no budget charge. Clean SCCs thus stabilize
-    // in one trivial pass under every scheduler (the full WTO is kept —
-    // filtering it would corrupt the parallel schedulers' SCC indexing).
+    // in one trivial pass under every scheduler.
     if (DirtyMask && !(*DirtyMask)[V])
       return false;
     if (!Graph.outgoing(V))
       return false; // Exit nodes are pinned at 1.
-    if (NodeUpdates.fetch_add(1, std::memory_order_relaxed) + 1 >
-        Opts.MaxUpdates) {
-      // Give the refused increment back so the final tally is exactly
-      // the budget, not budget + however many refusals happened before
-      // the schedulers noticed Exhausted().
-      NodeUpdates.fetch_sub(1, std::memory_order_relaxed);
-      Converged.store(false, std::memory_order_relaxed);
+    if (Stats.NodeUpdates >= Opts.MaxUpdates) {
+      // Refused: the tally stays exactly at the budget.
+      Stats.Converged = false;
       return false;
     }
+    ++Stats.NodeUpdates;
     Value New = Compiled.evalRhs(V, Result.Values);
     bool Widen = Opts.UseWidening && Order.WideningPoint[V] &&
                  UpdateCount[V] >= Opts.WideningDelay;
     ++UpdateCount[V];
     if (Widen) {
-      WideningApplications.fetch_add(1, std::memory_order_relaxed);
+      ++Stats.WideningApplications;
       if (Observer)
         Observer->onWidening(V);
       const Value &Old = Result.Values[V];
@@ -416,45 +306,16 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
   // once per solve rather than once per scheduler run.
   std::vector<unsigned> Positions = Order.positions();
 
-  std::atomic<unsigned> MaxParallelSccs{1};
-  std::atomic<uint64_t> IntraBatchesRun{0};
-  std::atomic<unsigned> MaxIntraBatchWidth{0};
-  std::atomic<uint64_t> IntraBarrierWaitNanos{0};
-
   ScheduleContext Ctx;
   Ctx.NumNodes = NumNodes;
   Ctx.Order = &Order;
   Ctx.Dependents = &Compiled.dependents();
   Ctx.Positions = &Positions;
   Ctx.Update = Update;
-  Ctx.Exhausted = [&Converged] {
-    return !Converged.load(std::memory_order_relaxed);
-  };
+  Ctx.Exhausted = [&Stats] { return !Stats.Converged; };
   Ctx.Observer = Observer;
-  Ctx.Pool = Pool.get();
-  Ctx.ParallelSafe = ParallelSafe;
-  Ctx.Affinity = Opts.Affinity;
-  Ctx.MaxParallelSccs = &MaxParallelSccs;
-  if (Opts.Strategy == IterationStrategy::ParallelIntra) {
-    Ctx.IntraPlans = &Compiled.intraPlans();
-    Ctx.IntraBatchesRun = &IntraBatchesRun;
-    Ctx.MaxIntraBatchWidth = &MaxIntraBatchWidth;
-    Ctx.IntraBarrierWaitNanos = &IntraBarrierWaitNanos;
-  }
   makeScheduler(Opts.Strategy)->run(Ctx);
 
-  Result.Stats.MaxParallelSccs =
-      MaxParallelSccs.load(std::memory_order_relaxed);
-  Result.Stats.IntraBatchesRun =
-      IntraBatchesRun.load(std::memory_order_relaxed);
-  Result.Stats.MaxIntraBatchWidth =
-      MaxIntraBatchWidth.load(std::memory_order_relaxed);
-  Result.Stats.IntraBarrierWaitSeconds =
-      IntraBarrierWaitNanos.load(std::memory_order_relaxed) * 1e-9;
-  Result.Stats.NodeUpdates = NodeUpdates.load(std::memory_order_relaxed);
-  Result.Stats.WideningApplications =
-      WideningApplications.load(std::memory_order_relaxed);
-  Result.Stats.Converged = Converged.load(std::memory_order_relaxed);
   // Warm-start reuse accounting: frozen nodes, and the component-level
   // split of the WTO into all-clean (skipped) and dirty (re-resolved)
   // SCCs. A cold solve resolves every component and reuses nothing.
@@ -477,20 +338,6 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
       Compiled.interpretCalls() - InterpretCallsBefore;
   Result.Stats.InterpretCacheHits =
       Compiled.interpretCacheHits() - InterpretHitsBefore;
-  if (Pool) {
-    for (double Busy : Pool->workerBusySeconds())
-      Result.Stats.ThreadBusySeconds += Busy;
-    // The pool is per-solve, so its lifetime totals are this solve's
-    // queueing story (precompilation fan-out included).
-    Result.Stats.PoolWorkers = Pool->workerQueueStats();
-    Result.Stats.PoolTasksRun = Pool->totalTasksRun();
-    Result.Stats.PoolSteals = Pool->totalSteals();
-    Result.Stats.PoolAffinityHits = Pool->totalAffinityHits();
-    if (Observer)
-      Observer->onPoolQueue(Result.Stats.PoolTasksRun,
-                            Result.Stats.PoolSteals,
-                            Result.Stats.PoolAffinityHits);
-  }
   if constexpr (ReportsNumericStats<D>) {
     NumericLayerStats Now = D::numericStats();
     Result.Stats.Numeric.MinimizationCalls =

@@ -71,13 +71,6 @@ template <poly::NumericDomain NumV> class LeiaDomainT {
 public:
   using Value = LeiaValueT<NumV>;
 
-  /// Backend values are value types over exact rationals (the polyhedra
-  /// conversion memo is thread-local, the stats counters atomic), and the
-  /// domain itself only reads the program: concurrent interpret and
-  /// operator calls are safe (the LEIA precompile win — every `seq` edge
-  /// rebuilds its value from scratch).
-  static constexpr bool ThreadSafeInterpret = true;
-
   /// \param Prog program under analysis (all variables must be real-valued
   /// and are assumed nonnegative, after the paper's positive-negative
   /// decomposition).

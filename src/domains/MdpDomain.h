@@ -41,10 +41,6 @@ class MdpDomain {
 public:
   using Value = double;
 
-  /// Stateless apart from the tolerance: all operations are safe to call
-  /// concurrently, so the parallel engine may use this domain freely.
-  static constexpr bool ThreadSafeInterpret = true;
-
   /// \param Tolerance two values within this distance are considered equal
   /// (ascending float chains then stabilize, §6.1).
   explicit MdpDomain(double Tolerance = 1e-12) : Tolerance(Tolerance) {}

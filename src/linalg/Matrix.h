@@ -52,11 +52,7 @@ public:
     return Data[Row * NumCols + Col];
   }
 
-  /// Matrix product; asserts inner dimensions agree. Above a size
-  /// threshold the row blocks are computed in parallel on the shared pool
-  /// (support::setSharedParallelism); each row's accumulation order is the
-  /// same in both paths, so the result is bit-identical regardless of the
-  /// thread count.
+  /// Matrix product; asserts inner dimensions agree.
   Matrix operator*(const Matrix &Other) const;
 
   /// Pointwise sum; asserts dimensions agree.

@@ -110,9 +110,8 @@ struct NumericCounters {
   /// the re-minimization passes a single construction performs).
   std::atomic<uint64_t> ConversionCacheMisses{0};
   /// The subset of ConversionCacheHits answered by the process-wide
-  /// sharded L2 cache (the thread-local L1 missed — typically a stolen
-  /// component, a fresh pool worker, or a new per-solve pool reusing
-  /// conversions an earlier solve computed).
+  /// sharded L2 cache (the thread-local L1 missed — typically a thread
+  /// reusing conversions a solve on another thread computed).
   std::atomic<uint64_t> SharedCacheHits{0};
   /// Memo entries dropped by the bounded caches (L1 and L2 shards evict
   /// about half their entries when they reach their cap).

@@ -123,13 +123,12 @@ struct ConvKeyHash {
 ///    an unchanged system — e.g. after a no-op meet — is one hash lookup
 ///    instead of a Chernikova run.
 ///  * **L2** — a process-wide, lock-striped shard array keyed by the
-///    ConvKey hash. The L2 is what keeps the ladder's conversion reuse
-///    alive under parallelism: per-solve pool workers are born with cold
-///    L1s, and a component stolen (or reassigned) across workers would
-///    otherwise recompute every minimization its previous worker already
-///    paid for. A shard mutex is held only for lookup/insert — never
-///    across a Chernikova run — so two threads racing on the same missing
-///    key at worst both compute it (the duplicate insert is a no-op).
+///    ConvKey hash. The L2 shares conversions across solves on different
+///    threads: pmafd connection threads and verify-corpus workers start
+///    with cold L1s, and an L1 dies with its thread. A shard mutex is held
+///    only for lookup/insert — never across a Chernikova run — so two
+///    threads racing on the same missing key at worst both compute it
+///    (the duplicate insert is a no-op).
 ///
 /// Both levels are bounded: at cap they evict about half their entries
 /// (every other element, in iteration order — effectively random for an

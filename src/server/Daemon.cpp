@@ -8,7 +8,6 @@
 
 #include "core/Schedule.h"
 #include "server/Protocol.h"
-#include "support/ThreadPool.h"
 
 #include <csignal>
 #include <cstdio>
@@ -78,13 +77,6 @@ Json statsToJson(const core::SolverStats &S) {
   R.set("widenings", Json::number(S.WideningApplications));
   R.set("interpret_calls", Json::number(S.InterpretCalls));
   R.set("interpret_cache_hits", Json::number(S.InterpretCacheHits));
-  R.set("precompiled_transformers", Json::number(S.PrecompiledTransformers));
-  R.set("jobs_used", Json::number(uint64_t(S.JobsUsed)));
-  R.set("max_parallel_sccs", Json::number(uint64_t(S.MaxParallelSccs)));
-  R.set("pool_tasks_run", Json::number(S.PoolTasksRun));
-  R.set("pool_steals", Json::number(S.PoolSteals));
-  R.set("pool_affinity_hits", Json::number(S.PoolAffinityHits));
-  R.set("thread_busy_seconds", Json::number(S.ThreadBusySeconds));
   Json Numeric = Json::object();
   Numeric.set("minimization_calls", Json::number(S.Numeric.MinimizationCalls));
   Numeric.set("conversion_cache_hits",
@@ -150,13 +142,28 @@ void Daemon::acceptLoop() {
       ::close(Client);
       return;
     }
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    ActiveFds.push_back(Client);
-    Connections.emplace_back([this, Client] { serveConnection(Client); });
+    std::vector<std::thread> Done;
+    {
+      std::lock_guard<std::mutex> Lock(ConnMu);
+      for (uint64_t Id : Finished) {
+        auto It = Connections.find(Id);
+        Done.push_back(std::move(It->second));
+        Connections.erase(It);
+      }
+      Finished.clear();
+      ActiveFds.push_back(Client);
+      const uint64_t Id = NextConnection++;
+      Connections.emplace(
+          Id, std::thread([this, Id, Client] { serveConnection(Id, Client); }));
+    }
+    // Each finished thread has already left ConnMu for the last time, so
+    // these joins return as soon as its stack unwinds.
+    for (std::thread &T : Done)
+      T.join();
   }
 }
 
-void Daemon::serveConnection(int ClientFd) {
+void Daemon::serveConnection(uint64_t Id, int ClientFd) {
   std::string Payload;
   for (;;) {
     std::string Error;
@@ -172,13 +179,16 @@ void Daemon::serveConnection(int ClientFd) {
     if (!Wrote)
       break;
   }
-  ::close(ClientFd);
+  // Forget the fd before closing it: once closed, its number can be
+  // reused by a newer connection whose entry this must not erase.
   std::lock_guard<std::mutex> Lock(ConnMu);
   for (size_t I = 0; I != ActiveFds.size(); ++I)
     if (ActiveFds[I] == ClientFd) {
       ActiveFds.erase(ActiveFds.begin() + I);
       break;
     }
+  ::close(ClientFd);
+  Finished.push_back(Id);
 }
 
 void Daemon::requestStop() {
@@ -206,18 +216,15 @@ void Daemon::wait() {
   }
   if (Acceptor.joinable())
     Acceptor.join();
-  for (;;) {
-    std::thread Conn;
-    {
-      std::lock_guard<std::mutex> Lock(ConnMu);
-      if (Connections.empty())
-        break;
-      Conn = std::move(Connections.back());
-      Connections.pop_back();
-    }
-    if (Conn.joinable())
-      Conn.join();
+  // The acceptor is gone, so no connection can be added any more.
+  std::map<uint64_t, std::thread> Remaining;
+  {
+    std::lock_guard<std::mutex> Lock(ConnMu);
+    Remaining.swap(Connections);
+    Finished.clear();
   }
+  for (auto &[Id, Conn] : Remaining)
+    Conn.join();
   if (ListenFd >= 0) {
     ::close(ListenFd);
     ListenFd = -1;
@@ -257,22 +264,6 @@ std::string Daemon::handle(const std::string &Payload, bool &Shutdown) {
     Json R = Json::object();
     R.set("ok", Json::boolean(true));
     R.set("stopping", Json::boolean(true));
-    return R.dump();
-  }
-
-  if (Name == "configure") {
-    OptUnsigned Jobs = getUnsigned(*Req, "jobs");
-    if (!Jobs.Ok || !Jobs.Value || *Jobs.Value > 65536)
-      return errorReply("invalid-flag-value",
-                        "configure requires \"jobs\", an unsigned integer")
-          .dump();
-    std::string Why;
-    if (!support::setSharedParallelism(static_cast<unsigned>(*Jobs.Value),
-                                       &Why))
-      return errorReply("pool-busy", Why).dump();
-    Json R = Json::object();
-    R.set("ok", Json::boolean(true));
-    R.set("jobs", Json::number(uint64_t(support::sharedParallelism())));
     return R.dump();
   }
 
@@ -357,25 +348,17 @@ std::string Daemon::handle(const std::string &Payload, bool &Shutdown) {
       }
       R.set("requests",
             Json::number(Requests.load(std::memory_order_relaxed)));
-      Json Pool = Json::object();
-      Pool.set("parallelism",
-               Json::number(uint64_t(support::sharedParallelism())));
-      if (const support::ThreadPool *P = support::sharedPool()) {
-        Pool.set("tasks_run", Json::number(P->totalTasksRun()));
-        Pool.set("steals", Json::number(P->totalSteals()));
-        Pool.set("affinity_hits", Json::number(P->totalAffinityHits()));
+      {
+        std::lock_guard<std::mutex> Lock(ConnMu);
+        R.set("connections", Json::number(uint64_t(Connections.size())));
       }
-      R.set("pool", Pool);
       return R.dump();
     }
 
     // analyze
     AnalyzeRequest AReq;
-    AReq.Affinity = Opts.Affinity;
     AReq.Cold = getBool(*Req, "cold", false);
     AReq.Werror = getBool(*Req, "werror", false);
-    if (const Json *J = Req->get("affinity"))
-      AReq.Affinity = J->asBool(Opts.Affinity);
     if (const Json *J = Req->get("strategy")) {
       std::optional<core::IterationStrategy> Strategy =
           J->isString() ? core::parseIterationStrategy(J->asString())
@@ -388,13 +371,8 @@ std::string Daemon::handle(const std::string &Payload, bool &Shutdown) {
             .dump();
       AReq.Strategy = Strategy;
     }
-    OptUnsigned Jobs = getUnsigned(*Req, "jobs");
     OptUnsigned Delay = getUnsigned(*Req, "widening_delay");
     OptUnsigned MaxUpdates = getUnsigned(*Req, "max_updates");
-    if (!Jobs.Ok || (Jobs.Value && *Jobs.Value > 65536))
-      return errorReply("invalid-flag-value",
-                        "\"jobs\" must be an unsigned integer")
-          .dump();
     if (!Delay.Ok || (Delay.Value && *Delay.Value > 0xffffffffull))
       return errorReply("invalid-flag-value",
                         "\"widening_delay\" must be an unsigned integer")
@@ -403,8 +381,6 @@ std::string Daemon::handle(const std::string &Payload, bool &Shutdown) {
       return errorReply("invalid-flag-value",
                         "\"max_updates\" must be an unsigned integer")
           .dump();
-    if (Jobs.Value)
-      AReq.Jobs = static_cast<unsigned>(*Jobs.Value);
     if (Delay.Value)
       AReq.WideningDelay = static_cast<unsigned>(*Delay.Value);
     if (MaxUpdates.Value)
@@ -438,14 +414,6 @@ std::string Daemon::handle(const std::string &Payload, bool &Shutdown) {
 }
 
 int pmaf::server::runDaemon(const DaemonOptions &Opts) {
-  if (Opts.Jobs != 1) {
-    std::string Why;
-    if (!support::setSharedParallelism(Opts.Jobs, &Why))
-      std::fprintf(stderr,
-                   "warning: --jobs=%u not applied to the shared pool: %s "
-                   "[pool-busy]\n",
-                   Opts.Jobs, Why.c_str());
-  }
   Daemon D(Opts);
   std::string Error;
   if (!D.start(Error)) {

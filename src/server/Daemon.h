@@ -9,13 +9,10 @@
 /// JSON protocol of server/Protocol.h, one thread per connection, with a
 /// shared registry of named resident Sessions. Connections are
 /// independent — two clients analyzing two sessions solve concurrently,
-/// their heavy matrix kernels batching through the one process-wide
-/// work-stealing pool — while requests against the *same* session
-/// serialize on the session lock.
-///
-/// Solves run on the connection threads, never as shared-pool tasks:
-/// a solve *uses* the pool (parallelFor from inside a pool task would
-/// deadlock the workers on themselves).
+/// each on its own connection thread — while requests against the *same*
+/// session serialize on the session lock. The acceptor joins the threads
+/// of closed connections as new ones arrive, so the daemon holds one
+/// thread per open connection plus at most a few finishing ones.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,13 +38,6 @@ struct DaemonOptions {
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (read it back via
   /// Daemon::port(), printed by runDaemon).
   uint16_t Port = 0;
-  /// Shared-pool width to establish at startup (the CLI's --jobs);
-  /// 1 keeps solves sequential unless a request asks for more, 0 means
-  /// one worker per hardware thread.
-  unsigned Jobs = 1;
-  /// Default component->worker affinity for solves (requests may
-  /// override per analyze).
-  bool Affinity = true;
 };
 
 /// The daemon: bind/listen/accept plus the request dispatcher. Embeddable
@@ -78,7 +68,7 @@ public:
 
 private:
   void acceptLoop();
-  void serveConnection(int ClientFd);
+  void serveConnection(uint64_t Id, int ClientFd);
   /// Dispatches one request payload to a reply payload; sets
   /// \p Shutdown when the request was a `shutdown`.
   std::string handle(const std::string &Payload, bool &Shutdown);
@@ -90,9 +80,14 @@ private:
   uint16_t BoundPort = 0;
   std::thread Acceptor;
 
+  /// Connection threads by connection id, the ids whose threads have
+  /// finished serving (joined by the acceptor or by wait()), and the
+  /// sockets of open connections (shut down by requestStop()).
   std::mutex ConnMu;
-  std::vector<std::thread> Connections;
+  std::map<uint64_t, std::thread> Connections;
+  std::vector<uint64_t> Finished;
   std::vector<int> ActiveFds;
+  uint64_t NextConnection = 0;
 
   std::mutex StopMu;
   std::condition_variable StopCv;

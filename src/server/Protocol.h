@@ -15,16 +15,19 @@
 ///
 ///   {"cmd":"load",    "session":"s", "source":"proc main() {...}",
 ///                     "domain":"auto|bi|mdp|leia", "numeric":"ladder"}
-///   {"cmd":"analyze", "session":"s", "jobs":4, "strategy":"parallel-scc",
-///                     "cold":false, "widening_delay":2, "max_updates":1e6}
+///   {"cmd":"analyze", "session":"s", "strategy":"wto|round-robin|worklist",
+///                     "cold":false, "widening_delay":2, "max_updates":1000000}
 ///   {"cmd":"edit",    "session":"s", "source":"<full new source>"}
 ///   {"cmd":"stats",   "session":"s"}
-///   {"cmd":"configure", "jobs":8}
 ///   {"cmd":"shutdown"}
+///
+/// Every solve runs sequentially on its connection's thread. `stats`
+/// reports the session's counters plus daemon-wide `sessions`, `requests`
+/// and `connections` (the connection threads the daemon holds).
 ///
 /// Every reply carries `"ok"`; failures add stable `"code"` + `"error"`
 /// fields (`protocol-error`, `unknown-command`, `unknown-session`,
-/// `invalid-flag-value`, `parse-error`, `lint-error`, `pool-busy`, ...).
+/// `invalid-flag-value`, `parse-error`, `lint-error`, ...).
 ///
 /// The Json class here is a deliberately small, dependency-free value
 /// type — parse, build, dump — sufficient for the protocol; it is not a
@@ -48,8 +51,8 @@ namespace server {
 
 /// A JSON value: parseable, buildable, dumpable. Numbers remember their
 /// exact token text, so 64-bit counters round-trip without double
-/// truncation and `"jobs":-2` / `"jobs":1.5` are *rejected* by
-/// asUnsigned rather than silently coerced.
+/// truncation and `"max_updates":-2` / `"max_updates":1.5` are *rejected*
+/// by asUnsigned rather than silently coerced.
 class Json {
 public:
   enum class Kind { Null, Bool, Number, String, Array, Object, Raw };

@@ -215,71 +215,6 @@ TEST(AddManagerTest, RenameNonMonotoneOffSupport) {
   EXPECT_EQ(G, Expected);
 }
 
-//===----------------------------------------------------------------------===//
-// migrate: the rename-and-merge primitive
-//===----------------------------------------------------------------------===//
-
-TEST(AddManagerTest, MigratePreservesSemanticsAndSize) {
-  AddManager From, To;
-  NodeRef F = From.apply(
-      Op::Add, From.apply(Op::Mul, From.indicator(0), From.indicator(1)),
-      From.scale(From.indicator(2), 0.625));
-  NodeRef G = To.migrate(F, From);
-  expectSameFunction(From, F, To, G, 3, "migrate");
-  EXPECT_EQ(From.nodeCount(F), To.nodeCount(G));
-  // Terminal values must survive bit-for-bit (0.625 is exact, but check
-  // an awkward double too).
-  NodeRef T = From.terminal(0.1);
-  EXPECT_EQ(To.terminalValue(To.migrate(T, From)),
-            From.terminalValue(T));
-}
-
-TEST(AddManagerTest, MigrateIsCanonical) {
-  // Extensionally equal diagrams built in two different managers, in
-  // different construction orders, must migrate onto the identical
-  // NodeRef in the destination — and match the natively built diagram.
-  AddManager A, B, Dest;
-  NodeRef FA = A.apply(Op::Add, A.indicator(0),
-                       A.scale(A.indicator(1), 2.0));
-  NodeRef FB = B.apply(Op::Add, B.scale(B.indicator(1), 2.0),
-                       B.indicator(0));
-  NodeRef Native = Dest.apply(Op::Add, Dest.indicator(0),
-                              Dest.scale(Dest.indicator(1), 2.0));
-  EXPECT_EQ(Dest.migrate(FA, A), Native);
-  EXPECT_EQ(Dest.migrate(FB, B), Native);
-}
-
-TEST(AddManagerTest, MigrateSelfAndRoundTripAreIdentity) {
-  AddManager Home, Other;
-  NodeRef F = Home.apply(Op::Add, Home.indicator(0),
-                         Home.scale(Home.indicator(1), 3.0));
-  // Migrating within one manager is the identity on NodeRefs.
-  EXPECT_EQ(Home.migrate(F, Home), F);
-  // Round trip home -> other -> home lands back on the same NodeRef
-  // (hash-consing makes the second migration find the original nodes).
-  NodeRef Away = Other.migrate(F, Home);
-  EXPECT_EQ(Home.migrate(Away, Other), F);
-}
-
-TEST(AddManagerTest, MigrationCacheIsReusedAcrossCalls) {
-  AddManager From, To;
-  NodeRef Shared = From.apply(Op::Add, From.indicator(1),
-                              From.scale(From.indicator(2), 2.0));
-  NodeRef F = From.apply(Op::Mul, From.indicator(0), Shared);
-  MigrationCache Cache;
-  NodeRef G1 = To.migrate(F, From, Cache);
-  size_t CacheAfterFirst = Cache.size();
-  size_t NodesAfterFirst = To.totalNodes();
-  // Second migration of an overlapping diagram: the shared subgraph is
-  // served from the cache, no new destination nodes appear.
-  NodeRef G2 = To.migrate(Shared, From, Cache);
-  EXPECT_EQ(Cache.size(), CacheAfterFirst);
-  EXPECT_EQ(To.totalNodes(), NodesAfterFirst);
-  // And re-migrating the root is a pure cache hit.
-  EXPECT_EQ(To.migrate(F, From, Cache), G1);
-  expectSameFunction(From, Shared, To, G2, 3, "cached migrate");
-}
-
 TEST(AddManagerTest, SharingBeatsEnumeration) {
   // The parity-like function sum of 16 indicators has a linear-size ADD.
   AddManager Mgr;

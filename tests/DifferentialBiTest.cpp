@@ -1,27 +1,13 @@
-//===- tests/DifferentialBiTest.cpp - BI engines × schedulers × jobs ------===//
+//===- tests/DifferentialBiTest.cpp - Dense vs ADD Bayesian inference -----===//
 //
-// The differential-testing harness for the parallel ADD-backed Bayesian
-// inference path: every program — random programs across workload mixes
+// The differential-testing harness for the ADD-backed Bayesian inference
+// domain: every program — random programs across workload mixes
 // (prob-heavy, ndet-heavy, call-heavy, mixed; tests/RandomProgramGen.h) and
-// the full §6.2 BI benchmark suite — is solved under every combination of
-//
-//     {BiDomain, AddBiDomain} × {wto, parallel-scc, parallel-intra}
-//                             × jobs ∈ {1, 2, 8},
-//
-// and the posterior at main's entry under a fixed prior must be
-//
-//  * bit-identical across all nine engine combinations within one domain
-//    (the parallel determinism claim: per-SCC single-worker replay, the
-//    barrier-synchronized conflict-free intra-component batches, plus,
-//    for the ADD backend, canonical migration through the home manager),
-//  * equal to 1e-9 across the two domain representations (dense matrix
-//    contraction vs ADD rename/multiply/sum-out accumulate in different
-//    orders, so exact equality is not expected across domains).
-//
-// The harness also pins the engine actually going parallel: ThreadSafe
-// domains asked for N jobs must report JobsUsed == N, and the ADD backend
-// must show real migration traffic whenever transformers were precompiled
-// on the pool.
+// the full §6.2 BI benchmark suite — is solved over both BiDomain and
+// AddBiDomain, and the posteriors at main's entry under a fixed prior must
+// be equal to 1e-9 (dense matrix contraction vs ADD rename/multiply/
+// sum-out accumulate in different orders, so exact equality is not
+// expected across domains).
 //
 //===----------------------------------------------------------------------===//
 
@@ -49,56 +35,23 @@ using namespace pmaf::lang;
 
 namespace {
 
-struct Combo {
-  IterationStrategy Strategy;
-  unsigned Jobs;
-};
-
-const Combo Combos[] = {
-    {IterationStrategy::WtoRecursive, 1},
-    {IterationStrategy::WtoRecursive, 2},
-    {IterationStrategy::WtoRecursive, 8},
-    {IterationStrategy::ParallelScc, 1},
-    {IterationStrategy::ParallelScc, 2},
-    {IterationStrategy::ParallelScc, 8},
-    {IterationStrategy::ParallelIntra, 1},
-    {IterationStrategy::ParallelIntra, 2},
-    {IterationStrategy::ParallelIntra, 8},
-};
-
 std::vector<double> uniformPrior(const BoolStateSpace &Space) {
   return std::vector<double>(Space.numStates(),
                              1.0 / static_cast<double>(Space.numStates()));
 }
 
-/// Solves \p Graph over a fresh domain of type D under \p C and returns
-/// the posterior at main's entry. Each combination gets its own domain
-/// instance, so agreement also covers cross-instance determinism (nothing
-/// leaks between runs through manager state).
+/// Solves \p Graph over a fresh domain of type D and returns the
+/// posterior at main's entry.
 template <typename D>
-std::vector<double> runCombo(const Program &Prog,
-                             const cfg::ProgramGraph &Graph,
-                             const BoolStateSpace &Space, const Combo &C,
-                             const std::string &Label) {
+std::vector<double> posteriorOf(const Program &Prog,
+                                const cfg::ProgramGraph &Graph,
+                                const BoolStateSpace &Space,
+                                const std::string &Label) {
   D Dom(Space);
   SolverOptions Opts;
   Opts.UseWidening = false;
-  Opts.Strategy = C.Strategy;
-  Opts.Jobs = C.Jobs;
   auto Result = solve(Graph, Dom, Opts);
   EXPECT_TRUE(Result.Stats.Converged) << Label;
-  // Both BI domains are ThreadSafeInterpret: asking for N workers must
-  // actually deliver N workers (the sequential gate is gone).
-  EXPECT_EQ(Result.Stats.JobsUsed, C.Jobs) << Label;
-  if constexpr (std::is_same_v<D, AddBiDomain>) {
-    if (C.Jobs > 1 && Result.Stats.PrecompiledTransformers > 0) {
-      // The pooled precompile ran inside a parallel phase, so diagrams
-      // must have crossed the home/arena boundary in both directions.
-      EXPECT_GT(Dom.importedNodes(), 0u) << Label;
-      EXPECT_GT(Dom.exportedNodes(), 0u) << Label;
-      EXPECT_GE(Dom.arenasCreated(), 1u) << Label;
-    }
-  }
   unsigned Main = Prog.findProc("main");
   EXPECT_NE(Main, ~0u) << Label;
   if (Main == ~0u)
@@ -108,31 +61,16 @@ std::vector<double> runCombo(const Program &Prog,
 }
 
 /// The full differential check for one program.
-void expectAllCombosAgree(const Program &Prog, const std::string &Name) {
+void expectDenseMatchesAdd(const Program &Prog, const std::string &Name) {
   BoolStateSpace Space(Prog);
   cfg::ProgramGraph Graph = cfg::ProgramGraph::build(Prog);
-
-  std::vector<std::vector<double>> Dense, Compact;
-  for (const Combo &C : Combos) {
-    std::string Label = Name + " [" + toString(C.Strategy) +
-                        ", jobs=" + std::to_string(C.Jobs) + "]";
-    Dense.push_back(runCombo<BiDomain>(Prog, Graph, Space, C,
-                                       "BiDomain " + Label));
-    Compact.push_back(runCombo<AddBiDomain>(Prog, Graph, Space, C,
-                                            "AddBiDomain " + Label));
-  }
-
-  for (size_t I = 1; I != Dense.size(); ++I)
-    for (size_t S = 0; S != Dense[0].size(); ++S) {
-      // Bitwise equality within each domain: scheduler and thread count
-      // must not perturb the fixpoint at all.
-      EXPECT_EQ(Dense[0][S], Dense[I][S])
-          << Name << ": BiDomain combo " << I << ", state " << S;
-      EXPECT_EQ(Compact[0][S], Compact[I][S])
-          << Name << ": AddBiDomain combo " << I << ", state " << S;
-    }
-  for (size_t S = 0; S != Dense[0].size(); ++S)
-    EXPECT_NEAR(Dense[0][S], Compact[0][S], 1e-9)
+  std::vector<double> Dense =
+      posteriorOf<BiDomain>(Prog, Graph, Space, "BiDomain " + Name);
+  std::vector<double> Compact =
+      posteriorOf<AddBiDomain>(Prog, Graph, Space, "AddBiDomain " + Name);
+  ASSERT_EQ(Dense.size(), Compact.size()) << Name;
+  for (size_t S = 0; S != Dense.size(); ++S)
+    EXPECT_NEAR(Dense[S], Compact[S], 1e-9)
         << Name << ": dense vs ADD, state " << S;
 }
 
@@ -141,7 +79,7 @@ void sweepConfig(const char *ConfigName, testgen::BoolGenConfig Config,
   Rng R(Seed);
   for (int Round = 0; Round != Rounds; ++Round) {
     auto Prog = testgen::randomBoolProgram(R, Config);
-    expectAllCombosAgree(*Prog,
+    expectDenseMatchesAdd(*Prog,
                          std::string(ConfigName) + " round " +
                              std::to_string(Round));
   }
@@ -171,6 +109,6 @@ TEST(DifferentialBiTest, MixedRandomPrograms) {
 TEST(DifferentialBiTest, BiBenchmarkSuite) {
   for (const benchmarks::BenchProgram &B : benchmarks::biPrograms()) {
     auto Prog = parseProgramOrDie(B.Source);
-    expectAllCombosAgree(*Prog, B.Name);
+    expectDenseMatchesAdd(*Prog, B.Name);
   }
 }

@@ -119,24 +119,16 @@ TEST(PmaLawsTest, BiDomainSatisfiesMirroredLaws) {
 }
 
 //===----------------------------------------------------------------------===//
-// ADD-backed BI domain (§6.2): same mirrored laws as the dense BI domain —
-// with the operands deliberately constructed in *different* AddManagers
-// and migrated into the checked domain's home manager, so the laws are
-// exercised across rename-and-merge boundaries (the cross-thread hand-off
-// of the parallel engine, minus the threads).
+// ADD-backed BI domain (§6.2): same mirrored laws as the dense BI domain.
 //===----------------------------------------------------------------------===//
 
-TEST(PmaLawsTest, AddBiDomainSatisfiesMirroredLawsAcrossManagers) {
+TEST(PmaLawsTest, AddBiDomainSatisfiesMirroredLaws) {
   auto Prog = lang::parseProgramOrDie(R"(
     bool a, b;
     proc main() { skip; }
   )");
   BoolStateSpace Space(*Prog);
   AddBiDomain Dom(Space, 1e-9);
-  // Two donor domains: each owns an independent manager whose NodeRefs
-  // mean nothing in Dom's manager until migrated.
-  AddBiDomain DonorA(Space, 1e-9);
-  AddBiDomain DonorB(Space, 1e-9);
 
   auto Assign = lang::Stmt::makeAssign(0, lang::Expr::makeBool(true));
   auto Sample = lang::Stmt::makeSample(
@@ -147,30 +139,11 @@ TEST(PmaLawsTest, AddBiDomainSatisfiesMirroredLawsAcrossManagers) {
         return D;
       }());
 
-  // Canonicity after rename-and-merge: a kernel built in a donor manager
-  // and migrated must land on the *identical* NodeRef as the same kernel
-  // built natively — hash-consing makes migration canonical, which is what
-  // lets the solver compare parallel-phase results by reference equality.
-  add::MigrationCache FromA, FromB;
-  add::AddManager &Home = Dom.manager();
-  add::NodeRef MigratedAssign =
-      Home.migrate(DonorA.interpret(Assign.get()), DonorA.manager(), FromA);
-  EXPECT_EQ(MigratedAssign, Dom.interpret(Assign.get()));
-  add::NodeRef MigratedSample =
-      Home.migrate(DonorB.interpret(Sample.get()), DonorB.manager(), FromB);
-  EXPECT_EQ(MigratedSample, Dom.interpret(Sample.get()));
-  EXPECT_EQ(Home.migrate(DonorA.one(), DonorA.manager(), FromA), Dom.one());
-  EXPECT_EQ(Home.migrate(DonorB.bottom(), DonorB.manager(), FromB),
-            Dom.bottom());
-
   LawCheckInput<AddBiDomain> In;
-  In.Samples.push_back(MigratedAssign);
-  In.Samples.push_back(MigratedSample);
-  // A composite built in donor A from donor-A operands, then migrated.
-  In.Samples.push_back(Home.migrate(
-      DonorA.probChoice(Rational(1, 4), DonorA.interpret(Assign.get()),
-                        DonorA.one()),
-      DonorA.manager(), FromA));
+  In.Samples.push_back(Dom.interpret(Assign.get()));
+  In.Samples.push_back(Dom.interpret(Sample.get()));
+  In.Samples.push_back(Dom.probChoice(Rational(1, 4),
+                                      Dom.interpret(Assign.get()), Dom.one()));
   In.Samples.push_back(Dom.one());
   In.Samples.push_back(Dom.bottom());
   In.Probs = sampleProbs();

@@ -2,30 +2,22 @@
 //
 // The scheduler layer (core/Schedule.h) promises that chaotic-iteration
 // order is a performance knob, not a semantics knob: WTO-recursive,
-// round-robin, the dependency-driven worklist, and the parallel per-SCC
-// scheduler must reach Dom.equal fixpoints. This suite checks that
-// node-by-node on every benchmark program of §6.2
-// (src/benchmarks/Programs.cpp) across all four domains — BI, ADD-backed
-// BI, MDP, and LEIA — and additionally checks the interpret-cache
-// invariant: each solve calls Dom.interpret at most once per `seq` edge,
-// and only cache hits follow.
+// round-robin, and the dependency-driven worklist must reach Dom.equal
+// fixpoints. This suite checks that node-by-node on every benchmark
+// program of §6.2 (src/benchmarks/Programs.cpp) across all four domains —
+// BI, ADD-backed BI, MDP, and LEIA — and additionally checks the
+// interpret-cache invariant: each solve calls Dom.interpret at most once
+// per `seq` edge, and only cache hits follow.
 //
-// The parallel schedulers promise more than tolerance-equality: because
-// each SCC is stabilized by a single worker replaying the sequential
-// WTO-recursive update sequence (parallel-scc), or conflict-free units of
-// one component run between barriers in an order extensionally identical
-// to the sequential sweep (parallel-intra), and cross-SCC reads only see
-// finalized upstream components, their fixpoints are *bit-identical* to
-// the WTO-recursive one. The BitIdentical* tests pin that down with exact
-// comparisons (no tolerance) across both parallel strategies, jobs in
-// {1, 2, 8}, and component->worker affinity both on and off (the
-// work-stealing pool's placement and stealing decisions must never leak
-// into the fixpoint): Matrix::operator== for BI, double == for MDP, exact rational
-// toString for LEIA, and NodeRef identity (shared hash-consing home
-// manager) for ADD-BI — the latter running truly multi-threaded: workers
-// compute in thread-local arena managers and publish through canonical
-// migration into the home manager, so the parallel fixpoint's NodeRefs
-// still match the sequential ones exactly.
+// The transformer cache promises more than tolerance-equality: a
+// transformer is a pure function of its edge, so whether it was compiled
+// up front (CompiledProgram::precompile), lazily during iteration, or by
+// an earlier solve over the same compiled program must not change a
+// single bit of the fixpoint — nor may the warm process-wide conversion
+// memos a later solve finds. The BitIdentical* tests pin that down with
+// exact comparisons (no tolerance): Matrix::operator== for BI, double ==
+// for MDP, exact rational toString for LEIA, and NodeRef identity (one
+// hash-consing manager) for ADD-BI.
 //
 // Two numeric subtleties the setup accounts for:
 //  * Each solve stops when successive iterates agree to the domain's
@@ -52,6 +44,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 using namespace pmaf;
 using namespace pmaf::core;
 using namespace pmaf::domains;
@@ -62,22 +56,7 @@ constexpr IterationStrategy AllStrategies[] = {
     IterationStrategy::WtoRecursive,
     IterationStrategy::RoundRobin,
     IterationStrategy::Worklist,
-    IterationStrategy::ParallelScc,
-    IterationStrategy::ParallelIntra,
 };
-
-/// The strategies that claim bit-identity with the WTO-recursive sweep,
-/// and the worker counts the BitIdentical* tests sweep them across.
-constexpr IterationStrategy ParallelStrategies[] = {
-    IterationStrategy::ParallelScc,
-    IterationStrategy::ParallelIntra,
-};
-constexpr unsigned ParallelJobCounts[] = {1, 2, 8};
-
-bool isParallel(IterationStrategy Strategy) {
-  return Strategy == IterationStrategy::ParallelScc ||
-         Strategy == IterationStrategy::ParallelIntra;
-}
 
 /// Counts the `seq` hyper-edges of \p Graph (the interpret-cache key set).
 unsigned countSeqEdges(const cfg::ProgramGraph &Graph) {
@@ -105,9 +84,6 @@ void expectParity(const char *Name, const cfg::ProgramGraph &Graph,
   for (IterationStrategy Strategy : AllStrategies) {
     decltype(auto) Dom = MakeDomain();
     Opts.Strategy = Strategy;
-    // The parallel schedulers actually run multi-threaded (for domains
-    // that allow it); the others stay sequential.
-    Opts.Jobs = isParallel(Strategy) ? 4 : 1;
     auto Result = solve(Graph, Dom, Opts);
     ASSERT_TRUE(Result.Stats.Converged)
         << Name << " under " << toString(Strategy);
@@ -125,38 +101,33 @@ void expectParity(const char *Name, const cfg::ProgramGraph &Graph,
   }
 }
 
-/// Solves under WTO-recursive (sequential) once, then under each parallel
-/// strategy at every ParallelJobCounts worker count, and checks every
-/// parallel fixpoint is bit-identical to the sequential one under the
-/// exact predicate \p Identical (no tolerance involved).
+/// Solves lazily once as the reference, then over a fresh domain whose
+/// compiled program had every transformer precompiled, then over that
+/// compiled program again (every transformer a cache hit), and checks
+/// both fixpoints are bit-identical to the reference under the exact
+/// predicate \p Identical (no tolerance involved).
 template <typename MakeDomainFn, typename IdenticalFn>
 void expectBitIdentical(const char *Name, const cfg::ProgramGraph &Graph,
-                        SolverOptions Opts, MakeDomainFn MakeDomain,
+                        const SolverOptions &Opts, MakeDomainFn MakeDomain,
                         IdenticalFn Identical) {
-  decltype(auto) SeqDom = MakeDomain();
-  Opts.Strategy = IterationStrategy::WtoRecursive;
-  Opts.Jobs = 1;
-  auto Sequential = solve(Graph, SeqDom, Opts);
-  ASSERT_TRUE(Sequential.Stats.Converged) << Name;
+  decltype(auto) RefDom = MakeDomain();
+  auto Reference = solve(Graph, RefDom, Opts);
+  ASSERT_TRUE(Reference.Stats.Converged) << Name;
 
-  for (IterationStrategy Strategy : ParallelStrategies)
-    for (unsigned Jobs : ParallelJobCounts)
-      for (bool Affinity : {true, false}) {
-        decltype(auto) ParDom = MakeDomain();
-        Opts.Strategy = Strategy;
-        Opts.Jobs = Jobs;
-        Opts.Affinity = Affinity;
-        auto Parallel = solve(Graph, ParDom, Opts);
-        ASSERT_TRUE(Parallel.Stats.Converged)
-            << Name << " under " << toString(Strategy) << " jobs=" << Jobs
-            << " affinity=" << (Affinity ? "on" : "off");
-        ASSERT_EQ(Sequential.Values.size(), Parallel.Values.size());
-        for (unsigned V = 0; V != Sequential.Values.size(); ++V)
-          EXPECT_TRUE(Identical(Sequential.Values[V], Parallel.Values[V]))
-              << Name << " under " << toString(Strategy) << " jobs=" << Jobs
-              << " affinity=" << (Affinity ? "on" : "off") << ": node " << V
-              << " is not bit-identical to the sequential fixpoint";
-      }
+  decltype(auto) Dom = MakeDomain();
+  CompiledProgram<std::remove_reference_t<decltype(Dom)>> Compiled(Graph,
+                                                                   Dom);
+  EXPECT_EQ(Compiled.precompile(), countSeqEdges(Graph)) << Name;
+  for (const char *Run : {"precompiled", "cache-hit re-solve"}) {
+    auto Result = solve(Compiled, Opts);
+    ASSERT_TRUE(Result.Stats.Converged) << Name << " " << Run;
+    EXPECT_EQ(Result.Stats.InterpretCalls, 0u) << Name << " " << Run;
+    ASSERT_EQ(Reference.Values.size(), Result.Values.size());
+    for (unsigned V = 0; V != Reference.Values.size(); ++V)
+      EXPECT_TRUE(Identical(Reference.Values[V], Result.Values[V]))
+          << Name << " " << Run << ": node " << V
+          << " is not bit-identical to the lazily compiled fixpoint";
+  }
 }
 
 } // namespace
@@ -232,10 +203,8 @@ TEST(SchedulerParityTest, BitIdenticalAddBiDomain) {
     BoolStateSpace Space(*Prog);
     SolverOptions Opts;
     Opts.UseWidening = false;
-    // One shared domain makes NodeRef identity meaningful: the parallel
-    // run computes in per-worker arenas but every published Value is a
-    // NodeRef in the same home manager, canonically migrated, so it must
-    // coincide with the sequential run's NodeRef exactly.
+    // One shared domain makes NodeRef identity meaningful: hash-consing
+    // gives every function one NodeRef in the manager.
     AddBiDomain Shared(Space);
     expectBitIdentical(Bench.Name, Graph, Opts,
                        [&]() -> AddBiDomain & { return Shared; },

@@ -7,8 +7,7 @@
 //  1. Solver warm-starts (core::WarmStart): for every procedure of
 //     multi-procedure programs — the paper benchmarks and the random
 //     program families — re-solving with that procedure's dependence
-//     closure dirty must reproduce the cold fixpoint bit-for-bit, under
-//     both the sequential and the parallel scheduler.
+//     closure dirty must reproduce the cold fixpoint bit-for-bit.
 //
 //  2. Sessions: editing each procedure body in turn, the incremental
 //     analyze must report the same fingerprint and the same checker
@@ -41,6 +40,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include <arpa/inet.h>
@@ -70,19 +70,15 @@ std::vector<unsigned> nodesOfProc(const cfg::ProgramGraph &Graph,
   return Nodes;
 }
 
-/// Cold-solves \p Prog, then for every procedure re-solves warm with that
+/// Cold-solves \p Graph, then for every procedure re-solves warm with that
 /// procedure's dependence closure dirty and demands value-identical
 /// fixpoints. \p Configure applies the domain's solver preset.
 template <typename D, typename ConfigureFn>
-void expectWarmMatchesCold(const lang::Program &Prog, D &Dom,
-                           const cfg::ProgramGraph &Graph, unsigned Jobs,
+void expectWarmMatchesCold(D &Dom, const cfg::ProgramGraph &Graph,
                            ConfigureFn Configure) {
   core::CompiledProgram<D> Compiled(Graph, Dom);
   core::SolverOptions Opts;
   Configure(Opts);
-  Opts.Jobs = Jobs;
-  if (Jobs > 1)
-    Opts.Strategy = core::IterationStrategy::ParallelScc;
   auto Cold = core::solve(Compiled, Opts);
   ASSERT_TRUE(Cold.Stats.Converged);
   for (unsigned P = 0; P != Graph.numProcs(); ++P) {
@@ -95,7 +91,7 @@ void expectWarmMatchesCold(const lang::Program &Prog, D &Dom,
     ASSERT_EQ(WarmRes.Values.size(), Cold.Values.size());
     for (unsigned V = 0; V != Graph.numNodes(); ++V)
       EXPECT_TRUE(Dom.equal(WarmRes.Values[V], Cold.Values[V]))
-          << "proc " << P << " node " << V << " jobs " << Jobs;
+          << "proc " << P << " node " << V;
     uint64_t CleanNodes = 0;
     for (char Dirty : Warm.Dirty)
       CleanNodes += Dirty == 0;
@@ -103,11 +99,11 @@ void expectWarmMatchesCold(const lang::Program &Prog, D &Dom,
   }
 }
 
-void expectBiWarmMatchesCold(const lang::Program &Prog, unsigned Jobs) {
+void expectBiWarmMatchesCold(const lang::Program &Prog) {
   cfg::ProgramGraph Graph = cfg::ProgramGraph::build(Prog);
   domains::BoolStateSpace Space(Prog);
   domains::BiDomain Dom(Space);
-  expectWarmMatchesCold(Prog, Dom, Graph, Jobs, [](core::SolverOptions &O) {
+  expectWarmMatchesCold(Dom, Graph, [](core::SolverOptions &O) {
     O.UseWidening = false;
   });
 }
@@ -122,8 +118,7 @@ TEST(ServerSolverTest, BiWarmStartBitIdenticalOnBenchmarks) {
   for (const benchmarks::BenchProgram &BP : benchmarks::biPrograms()) {
     auto Prog = parseOrDie(BP.Source);
     ASSERT_TRUE(Prog) << BP.Name;
-    for (unsigned Jobs : {1u, 4u})
-      expectBiWarmMatchesCold(*Prog, Jobs);
+    expectBiWarmMatchesCold(*Prog);
   }
 }
 
@@ -134,8 +129,7 @@ TEST(ServerSolverTest, BiWarmStartBitIdenticalOnRandomFamilies) {
       Rng R(Seed);
       auto Prog = randomBoolProgram(R, Config);
       ASSERT_GT(Prog->Procs.size(), 1u);
-      for (unsigned Jobs : {1u, 4u})
-        expectBiWarmMatchesCold(*Prog, Jobs);
+      expectBiWarmMatchesCold(*Prog);
     }
   }
 }
@@ -146,11 +140,9 @@ TEST(ServerSolverTest, MdpWarmStartBitIdenticalOnBenchmarks) {
     ASSERT_TRUE(Prog) << BP.Name;
     cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
     domains::MdpDomain Dom;
-    for (unsigned Jobs : {1u, 4u})
-      expectWarmMatchesCold(*Prog, Dom, Graph, Jobs,
-                            [](core::SolverOptions &O) {
-                              O.WideningDelay = 10000;
-                            });
+    expectWarmMatchesCold(Dom, Graph, [](core::SolverOptions &O) {
+      O.WideningDelay = 10000;
+    });
   }
 }
 
@@ -160,9 +152,7 @@ TEST(ServerSolverTest, LeiaWarmStartBitIdenticalOnRandomPrograms) {
     auto Prog = randomRealProgram(R, 3, 4);
     cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
     domains::LeiaDomainT<poly::LadderValue> Dom(*Prog);
-    for (unsigned Jobs : {1u, 4u})
-      expectWarmMatchesCold(*Prog, Dom, Graph, Jobs,
-                            [](core::SolverOptions &) {});
+    expectWarmMatchesCold(Dom, Graph, [](core::SolverOptions &) {});
   }
 }
 
@@ -187,8 +177,7 @@ std::string splicedEdit(const BoolGenConfig &Config, uint64_t SeedA,
 }
 
 void expectSessionEditBitIdentical(const BoolGenConfig &Config,
-                                   uint64_t SeedA, uint64_t SeedB,
-                                   unsigned Jobs) {
+                                   uint64_t SeedA, uint64_t SeedB) {
   Rng RA(SeedA);
   auto A = randomBoolProgram(RA, Config);
   const std::string SourceA = lang::toString(*A);
@@ -201,9 +190,6 @@ void expectSessionEditBitIdentical(const BoolGenConfig &Config,
         Warm.load(SourceA, "bi", core::NumericBackend::Ladder);
     ASSERT_TRUE(LR.Ok) << LR.Error;
     server::AnalyzeRequest Req;
-    Req.Jobs = Jobs;
-    if (Jobs > 1)
-      Req.Strategy = core::IterationStrategy::ParallelScc;
     server::AnalyzeReply First = Warm.analyze(Req);
     ASSERT_TRUE(First.Ok) << First.Error;
     ASSERT_TRUE(First.Converged);
@@ -223,13 +209,14 @@ void expectSessionEditBitIdentical(const BoolGenConfig &Config,
     // The incremental fixpoint, its checker verdicts, and the exit code
     // must be indistinguishable from a from-scratch solve.
     EXPECT_EQ(Incremental.Fingerprint, FromScratch.Fingerprint)
-        << "config proc " << P << " jobs " << Jobs;
+        << "config proc " << P;
     EXPECT_EQ(Incremental.ChecksJson, FromScratch.ChecksJson);
     EXPECT_EQ(Incremental.Exit, FromScratch.Exit);
     if (!ER.ChangedProcs.empty()) {
       EXPECT_TRUE(Incremental.Reuse.Incremental);
-      if (ER.DirtyNodes < ER.TotalNodes)
+      if (ER.DirtyNodes < ER.TotalNodes) {
         EXPECT_GT(Incremental.Reuse.NodesReused, 0u);
+      }
     }
   }
 }
@@ -237,14 +224,11 @@ void expectSessionEditBitIdentical(const BoolGenConfig &Config,
 } // namespace
 
 TEST(ServerSessionTest, EditEachProcedureBitIdenticalCallHeavy) {
-  for (unsigned Jobs : {1u, 4u})
-    expectSessionEditBitIdentical(BoolGenConfig::callHeavy(), 101, 202,
-                                  Jobs);
+  expectSessionEditBitIdentical(BoolGenConfig::callHeavy(), 101, 202);
 }
 
 TEST(ServerSessionTest, EditEachProcedureBitIdenticalMixed) {
-  for (unsigned Jobs : {1u, 4u})
-    expectSessionEditBitIdentical(BoolGenConfig::mixed(), 303, 404, Jobs);
+  expectSessionEditBitIdentical(BoolGenConfig::mixed(), 303, 404);
 }
 
 TEST(ServerSessionTest, HelperEditReusesMostTransformerSlots) {
@@ -472,15 +456,16 @@ TEST(DaemonTest, StableErrorCodes) {
     C.request(
         R"({"cmd":"load","source":"bool x; proc main() { x := true; }"})");
     EXPECT_EQ(
-        fieldString(C.request(R"({"cmd":"analyze","jobs":1.5})"), "code"),
+        fieldString(C.request(R"({"cmd":"analyze","max_updates":1.5})"),
+                    "code"),
         "invalid-flag-value");
     EXPECT_EQ(
         fieldString(C.request(R"({"cmd":"analyze","strategy":"warp"})"),
                     "code"),
         "invalid-flag-value");
-    EXPECT_EQ(fieldString(C.request(R"({"cmd":"configure","jobs":-1})"),
+    EXPECT_EQ(fieldString(C.request(R"({"cmd":"configure","jobs":4})"),
                           "code"),
-              "invalid-flag-value");
+              "unknown-command");
   }
   D.requestStop();
   D.wait();
@@ -512,6 +497,36 @@ TEST(DaemonTest, ConcurrentClientsOnDistinctSessions) {
   for (std::thread &T : Clients)
     T.join();
   EXPECT_EQ(Failures.load(), 0u);
+  D.requestStop();
+  D.wait();
+}
+
+TEST(DaemonTest, ClosedConnectionThreadsAreJoined) {
+  server::Daemon D;
+  std::string Error;
+  ASSERT_TRUE(D.start(Error)) << Error;
+  {
+    TestClient C(D.port());
+    C.request(R"({"cmd":"load","source":"bool x; proc main() { x := true; }"})");
+  }
+  // Churn: every connection is served once and closed. The acceptor joins
+  // the threads of closed connections as new ones arrive, so the daemon
+  // must not hold one thread per past connection.
+  for (int I = 0; I != 100; ++I) {
+    TestClient C(D.port());
+    server::Json R = C.request(R"({"cmd":"analyze"})");
+    EXPECT_TRUE(R.get("ok") && R.get("ok")->asBool());
+  }
+  {
+    TestClient C(D.port());
+    server::Json Stats = C.request(R"({"cmd":"stats"})");
+    ASSERT_TRUE(Stats.get("ok") && Stats.get("ok")->asBool());
+    ASSERT_NE(Stats.get("connections"), nullptr);
+    std::optional<uint64_t> Held = Stats.get("connections")->asUnsigned();
+    ASSERT_TRUE(Held.has_value());
+    EXPECT_GE(*Held, 1u); // This connection.
+    EXPECT_LT(*Held, 10u);
+  }
   D.requestStop();
   D.wait();
 }

@@ -52,12 +52,9 @@ public:
   Value widenNdet(const Value &, const Value &New) const { return New; }
   Value widenCall(const Value &, const Value &New) const { return New; }
   std::string toString(const Value &A) const { return std::to_string(A); }
-  /// Stateless over scalar doubles: safe from any thread.
-  static constexpr bool ThreadSafeInterpret = true;
 };
 
 static_assert(PreMarkovAlgebra<ReachDomain>);
-static_assert(threadSafeInterpret<ReachDomain>());
 
 double mainReach(const char *Source, SolverStats *StatsOut = nullptr) {
   auto Prog = lang::parseProgramOrDie(Source);
@@ -145,8 +142,7 @@ TEST(SolverTest, MaxUpdatesSafetyValve) {
   cfg::ProgramGraph G = cfg::ProgramGraph::build(*Prog);
   for (IterationStrategy Strategy :
        {IterationStrategy::WtoRecursive, IterationStrategy::RoundRobin,
-        IterationStrategy::Worklist, IterationStrategy::ParallelScc,
-        IterationStrategy::ParallelIntra}) {
+        IterationStrategy::Worklist}) {
     ReachDomain Dom;
     SolverOptions Opts;
     Opts.Strategy = Strategy;
@@ -260,67 +256,4 @@ TEST(SolverTest, UnreachableProcedureStillAnalyzed) {
               1e-9);
   EXPECT_NEAR(Result.Values[G.proc(Prog->findProc("main")).Entry], 1.0,
               1e-9);
-}
-
-TEST(SolverTest, ConcurrentPrecompileRacesLazyTransformer) {
-  // The per-slot once_flag contract: a parallel precompile racing ad-hoc
-  // transformer() calls still interprets each seq edge exactly once, and
-  // every requester observes the cached value.
-  auto Prog = lang::parseProgramOrDie(R"(
-    proc main() {
-      skip; skip; skip; skip;
-      while prob(1/2) { skip; skip; skip; skip; }
-      skip; skip; skip; skip;
-    }
-  )");
-  cfg::ProgramGraph G = cfg::ProgramGraph::build(*Prog);
-  std::vector<unsigned> SeqEdges;
-  for (unsigned E = 0; E != G.edges().size(); ++E)
-    if (G.edges()[E].Ctrl.TheKind == cfg::ControlAction::Kind::Seq)
-      SeqEdges.push_back(E);
-  ASSERT_GE(SeqEdges.size(), 12u);
-
-  for (int Round = 0; Round != 16; ++Round) {
-    ReachDomain Dom;
-    CompiledProgram<ReachDomain> Compiled(G, Dom);
-    support::ThreadPool Pool(4);
-    // Precompilation fans out on the pool while this thread requests the
-    // same transformers lazily, in reverse order.
-    auto Precompiled =
-        Pool.submit([&] { return Compiled.precompile(&Pool); });
-    for (size_t I = SeqEdges.size(); I != 0; --I)
-      EXPECT_DOUBLE_EQ(Compiled.transformer(SeqEdges[I - 1]), 1.0);
-    EXPECT_EQ(Precompiled.get(), SeqEdges.size());
-    EXPECT_EQ(Compiled.interpretCalls(), SeqEdges.size())
-        << "each seq edge must be interpreted exactly once";
-    EXPECT_GE(Compiled.interpretCacheHits(), SeqEdges.size())
-        << "the lazy requests must all be served from the cache";
-  }
-}
-
-TEST(SolverTest, ParallelSolveReportsEngineStats) {
-  auto Prog = lang::parseProgramOrDie(R"(
-    proc helper() { if prob(1/2) { helper(); } }
-    proc main() { skip; helper(); while prob(1/3) { skip; } helper(); }
-  )");
-  cfg::ProgramGraph G = cfg::ProgramGraph::build(*Prog);
-  ReachDomain Dom;
-
-  auto Sequential = solve(G, Dom);
-  ASSERT_TRUE(Sequential.Stats.Converged);
-  EXPECT_EQ(Sequential.Stats.JobsUsed, 1u);
-  EXPECT_EQ(Sequential.Stats.PrecompiledTransformers, 0u); // Lazy path.
-
-  SolverOptions Opts;
-  Opts.Strategy = IterationStrategy::ParallelScc;
-  Opts.Jobs = 4;
-  auto Parallel = solve(G, Dom, Opts);
-  ASSERT_TRUE(Parallel.Stats.Converged);
-  EXPECT_EQ(Parallel.Stats.JobsUsed, 4u);
-  EXPECT_GT(Parallel.Stats.PrecompiledTransformers, 0u);
-  EXPECT_GE(Parallel.Stats.PrecompileSeconds, 0.0);
-  ASSERT_EQ(Parallel.Values.size(), Sequential.Values.size());
-  for (unsigned V = 0; V != Sequential.Values.size(); ++V)
-    EXPECT_EQ(Parallel.Values[V], Sequential.Values[V])
-        << "parallel fixpoint must be bit-identical at node " << V;
 }

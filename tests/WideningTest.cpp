@@ -271,7 +271,6 @@ public:
     return std::numeric_limits<double>::infinity();
   }
   std::string toString(const Value &A) const { return std::to_string(A); }
-  static constexpr bool ThreadSafeInterpret = true;
 
   mutable unsigned CondWidenings = 0;
   mutable unsigned ProbWidenings = 0;

@@ -4,11 +4,9 @@
 //
 //   pmaf <file.pp> [--domain=leia|bi|mdp|termination] [--decompose]
 //                  [--dot] [--stats] [--werror] [--diag-format=text|json]
-//                  [--strategy=wto|round-robin|worklist|parallel-scc|
-//                              parallel-intra]
+//                  [--strategy=wto|round-robin|worklist]
 //                  [--numeric=poly|ladder|zones|intervals]
-//                  [--widening-delay=<n>] [--max-updates=<n>] [--jobs=<n>]
-//                  [--affinity=on|off]
+//                  [--widening-delay=<n>] [--max-updates=<n>]
 //   pmaf check <file.pp>... [--domain=leia|bi|mdp|termination]
 //                  [--decompose] [--werror] [--diag-format=text|json]
 //   pmaf verify-corpus <dir|file.pp>... [--jobs=<n>] [--seed=<n>]
@@ -16,6 +14,7 @@
 //                  [--werror]
 //   pmaf gen-corpus <dir> [--count=<n>] [--seed=<n>]
 //                  [--family=bi|mdp|leia|mixed]
+//   pmaf serve [--port=<n>]
 //
 // With --domain=leia (default) prints the expectation invariants of every
 // procedure summary; bi prints the posterior from the all-false prior;
@@ -40,21 +39,9 @@
 // The solver knobs map onto core::SolverOptions: --strategy selects the
 // chaotic-iteration scheduler (core/Schedule.h), --widening-delay the
 // number of plain updates before widening kicks in, and --max-updates the
-// node-update budget. --jobs=<n> runs the parallel engine with n worker
-// threads (0 = one per hardware thread): transformers precompile
-// concurrently, the dense-matrix kernels block-parallelize,
-// --strategy=parallel-scc stabilizes independent SCCs concurrently, and
-// --strategy=parallel-intra additionally fans conflict-free batches of a
-// single component body across the workers. --affinity=on|off (default
-// on) toggles component->worker pinning inside the parallel schedulers:
-// pinned work keeps the per-thread conversion memos hot, and the pool
-// steals it back only from a saturated owner; fixpoints are identical
-// either way.
+// node-update budget. Every solve runs on one thread.
 // --stats prints the instrumentation counters (core/Instrumentation.h),
-// including the interpret-cache traffic, precompile timing, the worker
-// count the solve actually used, the peak number of SCCs in flight,
-// per-worker queueing (tasks run / steals / affinity hits), and
-// the intra-component batch traffic.
+// including the interpret-cache traffic and the numeric-layer counters.
 //
 // Every solve is followed by the checker layer (checks/Checker.h): each
 // `assert_prob` / `assert_reward` / `assert_interval` statement is judged
@@ -63,15 +50,18 @@
 // assert-skipped). A violated assertion exits 1; --werror additionally
 // fails unproved and skipped assertions.
 //
-// `pmaf verify-corpus` fans a directory of programs across the shared
-// thread pool: per file it parses, lints, auto-detects the domain (real
-// variables -> leia, rewards -> mdp, else bi), solves sequentially, runs
-// the checker, and — for programs whose main starts with a planted
-// assertion — spot-checks the verdict against a Monte-Carlo estimate of
-// the ground truth (checks/Fuzz.h). Verdicts merge into one ChecksDb whose
-// JSON summary goes to --out or stdout; any parse failure or soundness
-// violation exits 1. `pmaf gen-corpus` writes such a corpus of random
-// programs with planted assertions (deterministic in --seed).
+// `pmaf verify-corpus` fans a directory of programs across --jobs worker
+// threads (default 4; 0 = one per hardware thread) — the only place the
+// tool runs anything concurrently: per file it parses, lints,
+// auto-detects the domain (real variables -> leia, rewards -> mdp, else
+// bi), solves, runs the checker, and — for programs whose main starts
+// with a planted assertion — spot-checks the verdict against a
+// Monte-Carlo estimate of the ground truth (checks/Fuzz.h). Verdicts merge
+// in file-name order into one ChecksDb whose JSON summary goes to --out or
+// stdout, so the output does not depend on --jobs; any parse failure or
+// soundness violation exits 1. `pmaf gen-corpus` writes such a corpus of
+// random programs with planted assertions (deterministic in --seed).
+// Elsewhere --jobs only draws an [option-ignored] warning.
 //
 // Exit codes: 0 analysis converged; 1 lint/parse errors or failed checks;
 // 2 usage errors; 3 the update budget (--max-updates) ran out before the
@@ -108,7 +98,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <optional>
 #include <iostream>
 #include <sstream>
@@ -153,15 +142,12 @@ public:
   Value widenNdet(const Value &, const Value &New) const { return New; }
   Value widenCall(const Value &, const Value &New) const { return New; }
   std::string toString(const Value &A) const { return std::to_string(A); }
-  /// Stateless over scalar doubles: safe to run from any thread.
-  static constexpr bool ThreadSafeInterpret = true;
 };
 
 /// Strict parse of one numeric flag payload; on failure prints the
 /// structured diagnostic (stable code `invalid-flag-value`) and returns
-/// nullopt — the caller exits 2, the usage-error code. `--jobs=abc`,
-/// `--jobs=-2`, and `--max-updates=1e9` used to silently become 0/garbage
-/// through strtoul; now they are hard usage errors.
+/// nullopt — the caller exits 2, the usage-error code: `--jobs=abc`,
+/// `--jobs=-2`, and `--max-updates=1e9` are hard usage errors.
 std::optional<uint64_t> parseFlagUnsigned(const char *Flag,
                                           const std::string &Value) {
   std::optional<uint64_t> Parsed = support::parseUnsigned(Value);
@@ -192,11 +178,9 @@ int usage(const char *Argv0) {
                "usage: %s <file.pp | -> [--domain=leia|bi|mdp|termination]"
                " [--decompose] [--dot] [--stats] [--werror]"
                " [--diag-format=text|json]"
-               " [--strategy=wto|round-robin|worklist|parallel-scc|"
-               "parallel-intra]"
+               " [--strategy=wto|round-robin|worklist]"
                " [--numeric=poly|ladder|zones|intervals]"
-               " [--widening-delay=<n>] [--max-updates=<n>] [--jobs=<n>]"
-               " [--affinity=on|off]\n"
+               " [--widening-delay=<n>] [--max-updates=<n>]\n"
                "       %s check <file.pp>..."
                " [--domain=leia|bi|mdp|termination] [--decompose]"
                " [--werror] [--diag-format=text|json]\n"
@@ -205,8 +189,7 @@ int usage(const char *Argv0) {
                " [--out=<file>] [--werror]\n"
                "       %s gen-corpus <dir> [--count=<n>] [--seed=<n>]"
                " [--family=bi|mdp|leia|mixed]\n"
-               "       %s serve [--port=<n>] [--jobs=<n>]"
-               " [--affinity=on|off]\n",
+               "       %s serve [--port=<n>]\n",
                Argv0, Argv0, Argv0, Argv0, Argv0);
   return 2;
 }
@@ -217,9 +200,7 @@ struct CliSolverConfig {
   std::optional<IterationStrategy> Strategy;
   std::optional<unsigned> WideningDelay;
   std::optional<uint64_t> MaxUpdates;
-  std::optional<unsigned> Jobs;
   std::optional<NumericBackend> Numeric;
-  std::optional<bool> Affinity;
   bool Stats = false;
 
   void apply(SolverOptions &Opts) const {
@@ -229,12 +210,8 @@ struct CliSolverConfig {
       Opts.WideningDelay = *WideningDelay;
     if (MaxUpdates)
       Opts.MaxUpdates = *MaxUpdates;
-    if (Jobs)
-      Opts.Jobs = *Jobs;
     if (Numeric)
       Opts.Numeric = *Numeric;
-    if (Affinity)
-      Opts.Affinity = *Affinity;
   }
 
   void printReport(const SolverInstrumentation &Counters,
@@ -243,30 +220,10 @@ struct CliSolverConfig {
     if (!Stats)
       return;
     std::printf("; strategy: %s, widening delay %u, max updates %llu, "
-                "jobs %u, numeric %s\n",
+                "numeric %s\n",
                 core::toString(Opts.Strategy), Opts.WideningDelay,
                 static_cast<unsigned long long>(Opts.MaxUpdates),
-                Opts.Jobs, core::toString(Opts.Numeric));
-    std::printf("; parallel: %u workers used, %u SCCs in flight at peak, "
-                "affinity %s\n",
-                SolveStats.JobsUsed, SolveStats.MaxParallelSccs,
-                Opts.Affinity ? "on" : "off");
-    for (size_t W = 0; W != SolveStats.PoolWorkers.size(); ++W) {
-      const auto &Q = SolveStats.PoolWorkers[W];
-      std::printf("; worker %zu: %llu tasks run, %llu steals, %llu "
-                  "affinity hits, %.6f s busy\n",
-                  W, static_cast<unsigned long long>(Q.TasksRun),
-                  static_cast<unsigned long long>(Q.Steals),
-                  static_cast<unsigned long long>(Q.AffinityHits),
-                  Q.BusySeconds);
-    }
-    if (SolveStats.IntraBatchesRun)
-      std::printf("; intra-scc: %llu batches fanned out, widest %u, "
-                  "%.6f s at barriers\n",
-                  static_cast<unsigned long long>(
-                      SolveStats.IntraBatchesRun),
-                  SolveStats.MaxIntraBatchWidth,
-                  SolveStats.IntraBarrierWaitSeconds);
+                core::toString(Opts.Numeric));
     if (!SolveStats.Converged)
       std::printf("; NOT CONVERGED: update budget exhausted after %llu "
                   "updates\n",
@@ -536,14 +493,11 @@ CorpusFileOutcome processCorpusFile(const std::string &Path,
   cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
   SolverInstrumentation Counters;
   checks::CheckerOptions COpts;
-  // Per-file solves are sequential; verify-corpus parallelizes across
-  // files instead.
   if (Domain == "bi") {
     BoolStateSpace Space(*Prog);
     BiDomain Dom(Space);
     SolverOptions SOpts;
     SOpts.UseWidening = false;
-    SOpts.Jobs = 1;
     SOpts.MaxUpdates = Opts.MaxUpdates;
     auto Result = solve(Graph, Dom, SOpts, &Counters);
     Out.Converged = Result.Stats.Converged;
@@ -554,7 +508,6 @@ CorpusFileOutcome processCorpusFile(const std::string &Path,
     MdpDomain Dom;
     SolverOptions SOpts;
     SOpts.WideningDelay = 10000;
-    SOpts.Jobs = 1;
     SOpts.MaxUpdates = Opts.MaxUpdates;
     auto Result = solve(Graph, Dom, SOpts, &Counters);
     Out.Converged = Result.Stats.Converged;
@@ -568,7 +521,6 @@ CorpusFileOutcome processCorpusFile(const std::string &Path,
     // cost, and the checker verdict logic is backend-independent.
     LeiaDomainT<poly::Zones> Dom(*Prog);
     SolverOptions SOpts;
-    SOpts.Jobs = 1;
     SOpts.MaxUpdates = Opts.MaxUpdates;
     auto Result = solve(Graph, Dom, SOpts, &Counters);
     Out.Converged = Result.Stats.Converged;
@@ -627,15 +579,14 @@ int runVerifyCorpus(const std::vector<std::string> &Paths,
     return 2;
   }
 
+  // Each worker fills only its file's slot; the merge below walks the
+  // slots in file order, so the output is the same for every --jobs.
+  std::vector<CorpusFileOutcome> Outcomes(Files.size());
   support::ThreadPool Pool(Opts.Jobs
                                ? Opts.Jobs
                                : support::ThreadPool::hardwareConcurrency());
-  std::mutex Mu;
-  checks::ChecksDb Global;
-  unsigned Failed = 0, NotConverged = 0;
-  std::vector<std::string> Violations, Failures;
   Pool.parallelFor(size_t(0), Files.size(), [&](size_t I) {
-    CorpusFileOutcome Out;
+    CorpusFileOutcome &Out = Outcomes[I];
     try {
       Out = processCorpusFile(Files[I], Opts,
                               Opts.Seed + I * 0x9e3779b97f4a7c15ull);
@@ -644,7 +595,13 @@ int runVerifyCorpus(const std::vector<std::string> &Paths,
       Out.Error = std::string("exception: ") + E.what();
     }
     Out.Db.tagFile(Files[I]);
-    std::lock_guard<std::mutex> Lock(Mu);
+  });
+
+  checks::ChecksDb Global;
+  unsigned Failed = 0, NotConverged = 0;
+  std::vector<std::string> Violations, Failures;
+  for (size_t I = 0; I != Files.size(); ++I) {
+    const CorpusFileOutcome &Out = Outcomes[I];
     Global.merge(Out.Db);
     if (!Out.Ok) {
       ++Failed;
@@ -654,10 +611,8 @@ int runVerifyCorpus(const std::vector<std::string> &Paths,
       ++NotConverged;
     if (!Out.SoundnessViolation.empty())
       Violations.push_back(Files[I] + ": " + Out.SoundnessViolation);
-  });
+  }
 
-  std::sort(Violations.begin(), Violations.end());
-  std::sort(Failures.begin(), Failures.end());
   std::string Json = "{\"files\": " + std::to_string(Files.size());
   Json += ", \"failed\": " + std::to_string(Failed);
   Json += ", \"not_converged\": " + std::to_string(NotConverged);
@@ -780,6 +735,7 @@ int main(int argc, char **argv) {
   unsigned Count = 100, Runs = 2000;
   uint16_t Port = 0;
   std::string OutPath, Family = "mixed";
+  std::optional<unsigned> Jobs;
   CliSolverConfig Config;
   for (int I = (CheckMode || CorpusMode || GenMode || ServeMode) ? 2 : 1;
        I < argc; ++I) {
@@ -826,23 +782,10 @@ int main(int argc, char **argv) {
         return 2;
       Config.MaxUpdates = *V;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      auto V = parseFlagUnsigned32("--jobs", Arg.substr(7));
-      if (!V)
+      Jobs = parseFlagUnsigned32("--jobs", Arg.substr(7));
+      if (!Jobs)
         return 2;
-      Config.Jobs = *V;
-    } else if (Arg.rfind("--affinity=", 0) == 0) {
-      std::string Mode = Arg.substr(11);
-      if (Mode == "on")
-        Config.Affinity = true;
-      else if (Mode == "off")
-        Config.Affinity = false;
-      else {
-        std::fprintf(stderr, "error: --affinity takes on|off, got %s\n",
-                     Mode.c_str());
-        return usage(argv[0]);
-      }
-    }
-    else if (Arg.rfind("--seed=", 0) == 0) {
+    } else if (Arg.rfind("--seed=", 0) == 0) {
       auto V = parseFlagUnsigned("--seed", Arg.substr(7));
       if (!V)
         return 2;
@@ -881,12 +824,18 @@ int main(int argc, char **argv) {
       Paths.push_back(Arg);
   }
 
+  const char *JobsIgnored =
+      "--jobs sets the worker count of verify-corpus; every other mode "
+      "runs on one thread";
+  if (Jobs && (CheckMode || GenMode || ServeMode))
+    std::fprintf(stderr, "warning: %s [option-ignored]\n", JobsIgnored);
   if (CheckMode)
     return runCheck(Paths, DomainExplicit ? Domain : std::string(),
                     Decompose, Werror, Json);
   if (CorpusMode) {
     CorpusOptions COpts;
-    COpts.Jobs = Config.Jobs.value_or(4);
+    if (Jobs)
+      COpts.Jobs = *Jobs;
     COpts.Seed = Seed;
     COpts.Runs = Runs;
     if (Config.MaxUpdates)
@@ -905,25 +854,7 @@ int main(int argc, char **argv) {
     // protocol, handy when only the CLI is deployed.
     server::DaemonOptions DOpts;
     DOpts.Port = Port;
-    DOpts.Jobs = Config.Jobs.value_or(1);
-    if (Config.Affinity)
-      DOpts.Affinity = *Config.Affinity;
     return server::runDaemon(DOpts);
-  }
-
-  // --jobs also turns on the process-wide pool the dense-matrix kernels
-  // draw from (distinct from the solver's per-solve pool).
-  // setSharedParallelism resolves 0 to the hardware thread count itself.
-  // A refusal (tasks in flight — cannot happen this early in a fresh CLI
-  // process, but the call is shared with long-lived embedders) degrades
-  // to a structured warning rather than a silent wrong-sized pool.
-  if (Config.Jobs) {
-    std::string WhyRefused;
-    if (!support::setSharedParallelism(*Config.Jobs, &WhyRefused))
-      std::fprintf(stderr,
-                   "warning: --jobs=%u not applied to the shared pool: %s "
-                   "[pool-busy]\n",
-                   *Config.Jobs, WhyRefused.c_str());
   }
 
   if (Paths.size() != 1)
@@ -952,6 +883,8 @@ int main(int argc, char **argv) {
                  "--decompose targets signed variables of LEIA runs; with "
                  "--domain=" +
                      Domain + " it does not change the analysis");
+  if (Jobs)
+    Diags.report(Severity::Warning, {}, "option-ignored", JobsIgnored);
   std::unique_ptr<lang::Program> Prog =
       parseAndLint(Path, Source, Diags, Domain, Decompose);
   if (!Diags.empty()) {
