@@ -77,6 +77,9 @@ struct BenchRecord {
   uint64_t Escalations = 0;
   unsigned PeakGeneratorRows = 0;
   unsigned MaxPackWidth = 0;
+  /// Time of one solve that started with the memo caches cleared, or
+  /// negative when the bench does not measure one (the key is omitted).
+  double ColdSeconds = -1.0;
 };
 
 /// Removes `--json=<path>` from argv (so google-benchmark never sees it)
@@ -129,10 +132,14 @@ public:
       const BenchRecord &R = Records[I];
       std::fprintf(
           Out,
-          "  {\"name\": \"%s\", \"seconds\": %.9f, \"node_updates\": %llu, "
-          "\"widenings\": %llu, \"interpret_calls\": %llu, "
-          "\"interpret_cache_hits\": %llu",
-          escape(R.Name).c_str(), R.Seconds,
+          "  {\"name\": \"%s\", \"seconds\": %.9f, ", escape(R.Name).c_str(),
+          R.Seconds);
+      if (R.ColdSeconds >= 0.0)
+        std::fprintf(Out, "\"cold_seconds\": %.9f, ", R.ColdSeconds);
+      std::fprintf(
+          Out,
+          "\"node_updates\": %llu, \"widenings\": %llu, "
+          "\"interpret_calls\": %llu, \"interpret_cache_hits\": %llu",
           static_cast<unsigned long long>(R.NodeUpdates),
           static_cast<unsigned long long>(R.Widenings),
           static_cast<unsigned long long>(R.InterpretCalls),

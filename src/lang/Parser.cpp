@@ -3,6 +3,7 @@
 #include "lang/Parser.h"
 #include "lang/Lexer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -42,6 +43,35 @@ std::optional<Rational> evalConstant(const Expr &E) {
   default:
     return std::nullopt;
   }
+}
+
+/// Bounds on numeric literals: far beyond anything the double-valued
+/// domains can hold, and small enough that the exact conversion to a
+/// rational stays cheap.
+constexpr size_t MaxLiteralDigits = 400;
+constexpr unsigned MaxLiteralExponent = 400;
+
+/// \returns true if the lexed number \p Text (digits, an optional
+/// fraction, an optional signed decimal exponent) has at most
+/// MaxLiteralDigits mantissa digits and an exponent of magnitude at most
+/// MaxLiteralExponent.
+bool literalInRange(const std::string &Text) {
+  size_t Exp = std::min(Text.find_first_of("eE"), Text.size());
+  size_t Digits = 0;
+  for (size_t I = 0; I != Exp; ++I)
+    Digits += Text[I] != '.';
+  if (Digits > MaxLiteralDigits)
+    return false;
+  size_t I = Exp + 1;
+  if (I < Text.size() && (Text[I] == '+' || Text[I] == '-'))
+    ++I;
+  unsigned Exponent = 0;
+  for (; I < Text.size(); ++I) {
+    Exponent = Exponent * 10 + static_cast<unsigned>(Text[I] - '0');
+    if (Exponent > MaxLiteralExponent)
+      return false;
+  }
+  return true;
 }
 
 class ParserImpl {
@@ -754,6 +784,17 @@ private:
   Expr::Ptr parsePrimaryExpr() {
     SourceLoc Loc = here();
     if (check(Token::Kind::Number)) {
+      if (!literalInRange(peek().Text)) {
+        std::string Shown = peek().Text.size() > 24
+                                ? peek().Text.substr(0, 24) + "..."
+                                : peek().Text;
+        failAt(Loc, "number-out-of-range",
+               "numeric literal '" + Shown + "' is out of range (at most " +
+                   std::to_string(MaxLiteralDigits) +
+                   " digits and a decimal exponent within +-" +
+                   std::to_string(MaxLiteralExponent) + ")");
+        return nullptr;
+      }
       Expr::Ptr E = Expr::makeNumber(Rational::fromString(advance().Text));
       E->setLoc(Loc);
       return E;

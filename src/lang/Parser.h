@@ -57,8 +57,9 @@ struct ParseResult {
   /// notes); meaningful only when Prog is null. Codes: "parse-error" for
   /// syntax errors, and "undefined-variable", "undefined-procedure",
   /// "redeclared-variable", "redefined-procedure", "misplaced-jump",
-  /// "prob-range", "reward-range", "interval-range", "no-procedures" for
-  /// the semantic checks the parser performs itself.
+  /// "prob-range", "reward-range", "interval-range", "no-procedures",
+  /// "number-out-of-range" for the semantic checks the parser performs
+  /// itself.
   Diagnostic Diag;
 
   explicit operator bool() const { return Prog != nullptr; }

@@ -16,8 +16,11 @@ using namespace pmaf::poly;
 
 bool ConeRow::normalize() {
   BigInt Content;
-  for (const BigInt &C : Coeffs)
+  for (const BigInt &C : Coeffs) {
     Content = BigInt::gcd(Content, C);
+    if (Content == BigInt(1))
+      break; // Coprime already; the rest cannot change the content.
+  }
   if (Content.isZero())
     return false;
   if (Content != BigInt(1))
@@ -158,9 +161,21 @@ struct ConvShard {
   ConvMap Map;
 };
 
-ConvShard &shardFor(size_t Hash) {
+ConvShard *l2Shards() {
   static ConvShard Shards[L2ConversionShards];
-  return Shards[Hash % L2ConversionShards];
+  return Shards;
+}
+
+ConvShard &shardFor(size_t Hash) {
+  return l2Shards()[Hash % L2ConversionShards];
+}
+
+/// The calling thread's L1 map for one conversion direction (constraints
+/// to generators, or generators to constraints); each direction has its
+/// own map, cap and eviction.
+ConvMap &l1Map(bool FromGenerators) {
+  thread_local ConvMap FromConstraintRows, FromGeneratorRows;
+  return FromGenerators ? FromGeneratorRows : FromConstraintRows;
 }
 
 /// The shared conversion-cache protocol: L1 probe, then L2 probe, then
@@ -169,7 +184,7 @@ ConvShard &shardFor(size_t Hash) {
 template <typename ComputeFn>
 Polyhedron cachedConversion(ConvKey Key, ComputeFn &&Compute) {
   NumericCounters &Counters = numericCounters();
-  thread_local ConvMap L1;
+  ConvMap &L1 = l1Map(Key.FromGenerators);
   if (auto It = L1.find(Key); It != L1.end()) {
     Counters.ConversionCacheHits.fetch_add(1, std::memory_order_relaxed);
     return It->second;
@@ -200,9 +215,48 @@ Polyhedron cachedConversion(ConvKey Key, ComputeFn &&Compute) {
 
 } // namespace
 
+void poly::clearConversionCaches() {
+  l1Map(false).clear();
+  l1Map(true).clear();
+  for (size_t I = 0; I != L2ConversionShards; ++I) {
+    std::lock_guard<std::mutex> Lock(l2Shards()[I].Mutex);
+    l2Shards()[I].Map.clear();
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Dualization (Chernikova's algorithm)
 //===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Sorts and deduplicates generators as sortAndDedup does, permuting their
+/// saturation rows (\p Words words each) alongside. Equal generators have
+/// equal saturation rows, so which duplicate survives does not matter.
+void sortAndDedupWithSat(std::vector<ConeRow> &Gens,
+                         std::vector<uint64_t> &Sat, size_t Words) {
+  std::vector<size_t> Order(Gens.size());
+  for (size_t I = 0; I != Order.size(); ++I)
+    Order[I] = I;
+  std::sort(Order.begin(), Order.end(), [&Gens](size_t A, size_t B) {
+    return rowLess(Gens[A], Gens[B]);
+  });
+  std::vector<ConeRow> SortedGens;
+  std::vector<uint64_t> SortedSat;
+  SortedGens.reserve(Gens.size());
+  SortedSat.reserve(Sat.size());
+  for (size_t I : Order) {
+    if (!SortedGens.empty() && SortedGens.back() == Gens[I])
+      continue;
+    SortedGens.push_back(std::move(Gens[I]));
+    SortedSat.insert(SortedSat.end(), Sat.begin() + I * Words,
+                     Sat.begin() + (I + 1) * Words);
+  }
+  Gens = std::move(SortedGens);
+  Sat = std::move(SortedSat);
+}
+
+} // namespace
 
 std::vector<ConeRow> poly::dualize(const std::vector<ConeRow> &Input,
                                    unsigned Cols) {
@@ -229,8 +283,26 @@ std::vector<ConeRow> poly::dualize(const std::vector<ConeRow> &Input,
     Gens.push_back(std::move(Line));
   }
 
-  std::vector<const ConeRow *> Processed;
-  for (const ConeRow *Con : Ordered) {
+  // Saturation rows, Words packed words per generator: bit K of a row is
+  // set iff the generator is orthogonal to the K-th processed constraint
+  // (bits of unprocessed constraints are clear). They are maintained
+  // incrementally instead of recomputed by dot products. Rays satisfy
+  // every processed inequality c (c·g >= 0) and lines are orthogonal to
+  // every processed constraint, so:
+  //  * a line saturates everything processed;
+  //  * a pivot step adds a multiple of a line, leaving c·g unchanged;
+  //  * for rays P, M with s_P > 0 > s_M, c·(s_P·g_M - s_M·g_P) =
+  //    s_P·(c·g_M) + |s_M|·(c·g_P) is a sum of two nonnegative terms, so
+  //    the combination saturates c iff both parents do: Sat[P] & Sat[M].
+  // Normalizing divides by a positive content and keeps every zero.
+  const size_t Words = (Ordered.size() + 63) / 64;
+  std::vector<uint64_t> Sat(Gens.size() * Words, 0);
+  auto SatRow = [&Sat, Words](size_t I) { return Sat.data() + I * Words; };
+
+  for (size_t K = 0; K != Ordered.size(); ++K) {
+    const ConeRow *Con = Ordered[K];
+    const size_t NewWord = K / 64;
+    const uint64_t NewBit = uint64_t(1) << (K % 64);
     std::vector<BigInt> S(Gens.size());
     for (size_t I = 0; I != Gens.size(); ++I)
       S[I] = dotProduct(Gens[I], *Con);
@@ -249,7 +321,10 @@ std::vector<ConeRow> poly::dualize(const std::vector<ConeRow> &Input,
       BigInt AbsSL = S[Pivot].abs();
       int SignSL = S[Pivot].sign();
       for (size_t I = 0; I != Gens.size(); ++I) {
-        if (I == Pivot || S[I].isZero())
+        if (I == Pivot)
+          continue;
+        SatRow(I)[NewWord] |= NewBit;
+        if (S[I].isZero())
           continue;
         // g' = |s(L)| * g - sign(s(L)) * s(g) * L keeps conic orientation
         // (the multiplier of g is positive) and achieves s(g') = 0.
@@ -261,6 +336,8 @@ std::vector<ConeRow> poly::dualize(const std::vector<ConeRow> &Input,
       }
       if (Con->IsLinearity) {
         Gens.erase(Gens.begin() + static_cast<ptrdiff_t>(Pivot));
+        Sat.erase(Sat.begin() + static_cast<ptrdiff_t>(Pivot * Words),
+                  Sat.begin() + static_cast<ptrdiff_t>((Pivot + 1) * Words));
       } else {
         if (SignSL < 0)
           for (BigInt &C : Gens[Pivot].Coeffs)
@@ -268,19 +345,18 @@ std::vector<ConeRow> poly::dualize(const std::vector<ConeRow> &Input,
         Gens[Pivot].IsLinearity = false;
         Gens[Pivot].normalize();
       }
-      Processed.push_back(Con);
       continue;
     }
 
     // Split case: partition the rays by the sign of their product.
-    std::vector<size_t> Plus, Zero, Minus;
-    std::vector<ConeRow> Lines;
+    std::vector<size_t> Plus, Zero, Minus, Lines, Rays;
     for (size_t I = 0; I != Gens.size(); ++I) {
       if (Gens[I].IsLinearity) {
         assert(S[I].isZero() && "line escaped the pivot case");
-        Lines.push_back(Gens[I]);
+        Lines.push_back(I);
         continue;
       }
+      Rays.push_back(I);
       int Sign = S[I].sign();
       if (Sign > 0)
         Plus.push_back(I);
@@ -290,39 +366,40 @@ std::vector<ConeRow> poly::dualize(const std::vector<ConeRow> &Input,
         Zero.push_back(I);
     }
 
-    // Saturation bitsets over the processed constraints, for the
-    // combinatorial adjacency test (two extreme rays are adjacent iff no
-    // third ray saturates every constraint they both saturate).
-    std::vector<std::vector<bool>> Sat(Gens.size());
-    std::vector<size_t> Rays;
-    for (size_t I = 0; I != Gens.size(); ++I) {
-      if (Gens[I].IsLinearity)
-        continue;
-      Rays.push_back(I);
-      Sat[I].resize(Processed.size());
-      for (size_t K = 0; K != Processed.size(); ++K)
-        Sat[I][K] = dotProduct(Gens[I], *Processed[K]).isZero();
-    }
+    // Combinatorial adjacency test: two extreme rays are adjacent iff no
+    // third ray saturates every processed constraint they both saturate.
+    std::vector<uint64_t> Common(Words);
     auto Adjacent = [&](size_t A, size_t B) {
+      for (size_t W = 0; W != Words; ++W)
+        Common[W] = SatRow(A)[W] & SatRow(B)[W];
       for (size_t Other : Rays) {
         if (Other == A || Other == B)
           continue;
+        const uint64_t *OtherSat = SatRow(Other);
         bool Covers = true;
-        for (size_t K = 0; K != Processed.size() && Covers; ++K)
-          if (Sat[A][K] && Sat[B][K] && !Sat[Other][K])
-            Covers = false;
+        for (size_t W = 0; W != Words && Covers; ++W)
+          Covers = (Common[W] & ~OtherSat[W]) == 0;
         if (Covers)
           return false;
       }
       return true;
     };
 
-    std::vector<ConeRow> Next = std::move(Lines);
+    std::vector<ConeRow> Next;
+    std::vector<uint64_t> NextSat;
+    auto Keep = [&](ConeRow Row, const uint64_t *RowSat, bool Saturates) {
+      Next.push_back(std::move(Row));
+      NextSat.insert(NextSat.end(), RowSat, RowSat + Words);
+      if (Saturates)
+        NextSat[(Next.size() - 1) * Words + NewWord] |= NewBit;
+    };
+    for (size_t I : Lines)
+      Keep(std::move(Gens[I]), SatRow(I), true);
     for (size_t I : Zero)
-      Next.push_back(Gens[I]);
+      Keep(std::move(Gens[I]), SatRow(I), true);
     if (!Con->IsLinearity)
       for (size_t I : Plus)
-        Next.push_back(Gens[I]);
+        Keep(Gens[I], SatRow(I), false);
     for (size_t P : Plus)
       for (size_t M : Minus) {
         if (!Adjacent(P, M))
@@ -333,13 +410,13 @@ std::vector<ConeRow> poly::dualize(const std::vector<ConeRow> &Input,
         for (size_t Col = 0; Col != Cols; ++Col)
           Combo.Coeffs[Col] =
               S[P] * Gens[M].Coeffs[Col] - S[M] * Gens[P].Coeffs[Col];
-        if (Combo.normalize())
-          Next.push_back(std::move(Combo));
+        if (Combo.normalize()) // Common holds Sat[P] & Sat[M].
+          Keep(std::move(Combo), Common.data(), true);
       }
     Gens = std::move(Next);
-    sortAndDedup(Gens);
+    Sat = std::move(NextSat);
+    sortAndDedupWithSat(Gens, Sat, Words);
     PeakRows = std::max(PeakRows, static_cast<unsigned>(Gens.size()));
-    Processed.push_back(Con);
   }
 
   sortAndDedup(Gens);

@@ -70,6 +70,11 @@ BigInt dotProduct(const ConeRow &A, const ConeRow &B);
 std::vector<ConeRow> dualize(const std::vector<ConeRow> &Input,
                              unsigned Cols);
 
+/// Empties the conversion memo caches a cold measurement must not inherit:
+/// every process-wide L2 shard and the calling thread's L1 maps (other
+/// threads keep theirs). The counters are left alone.
+void clearConversionCaches();
+
 /// Rounds one constraint row to at most \p MaxBits bits per coefficient:
 /// rows already within budget are kept exactly, wider rows are rescaled so
 /// the widest coefficient becomes 2^MaxBits with round-to-nearest on the

@@ -6,6 +6,22 @@
 
 using namespace pmaf;
 
+namespace {
+
+/// 10^N by repeated squaring.
+BigInt powerOfTen(uint64_t N) {
+  BigInt Result(1), Square(10);
+  for (; N != 0; N >>= 1) {
+    if (N & 1)
+      Result *= Square;
+    if (N > 1)
+      Square *= Square;
+  }
+  return Result;
+}
+
+} // namespace
+
 Rational::Rational(BigInt Numerator, BigInt Denominator)
     : Num(std::move(Numerator)), Den(std::move(Denominator)) {
   assert(!Den.isZero() && "rational with zero denominator");
@@ -52,11 +68,10 @@ Rational Rational::fromString(const std::string &Text) {
     Digits += '0';
   BigInt Numerator = BigInt::fromString(Digits);
   BigInt Denominator(1);
-  BigInt Ten(10);
-  for (int64_t I = 0; I < Exp10; ++I)
-    Numerator *= Ten;
-  for (int64_t I = 0; I > Exp10; --I)
-    Denominator *= Ten;
+  if (Exp10 > 0)
+    Numerator *= powerOfTen(static_cast<uint64_t>(Exp10));
+  else if (Exp10 < 0)
+    Denominator = powerOfTen(static_cast<uint64_t>(-Exp10));
   return Rational(Numerator, Denominator);
 }
 

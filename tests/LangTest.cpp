@@ -250,6 +250,30 @@ TEST(ParserTest, RejectsEmptyProgram) {
   EXPECT_FALSE(R);
 }
 
+TEST(ParserTest, RejectsOutOfRangeNumericLiterals) {
+  // An exponent past int64 once aborted the parser with an uncaught
+  // std::out_of_range; a huge in-range one took a minute to convert.
+  for (const char *Literal : {"1e99999999999999999999", "1e300000",
+                              "2.5e-401", "1e+401"}) {
+    ParseResult R = parseProgram(std::string("real x; proc main() { x := ") +
+                                 Literal + "; }");
+    ASSERT_FALSE(R) << Literal;
+    EXPECT_EQ(R.Diag.Code, "number-out-of-range") << Literal;
+    EXPECT_EQ(R.Error.substr(0, 5), "1:28:") << R.Error;
+  }
+  std::string Digits(401, '7');
+  ParseResult R = parseProgram("real x; proc main() { x := " + Digits + "; }");
+  ASSERT_FALSE(R);
+  EXPECT_EQ(R.Diag.Code, "number-out-of-range");
+}
+
+TEST(ParserTest, AcceptsNumericLiteralsAtTheBounds) {
+  ParseResult R = parseProgram(
+      "real x; proc main() { x := 1e400; x := 1e-400; x := 0.25e2; x := " +
+      std::string(400, '9') + "; }");
+  ASSERT_TRUE(R) << R.Error;
+}
+
 TEST(ParserTest, ErrorsCarryPositions) {
   ParseResult R = parseProgram("proc main() {\n  x := 1;\n}");
   ASSERT_FALSE(R);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace pmaf;
 using namespace pmaf::poly;
 
@@ -463,4 +465,273 @@ TEST(PolyhedronTest, ToStringSmoke) {
   EXPECT_NE(S.find("x"), std::string::npos);
   EXPECT_EQ(Polyhedron::empty(1).toString(), "{false}");
   EXPECT_EQ(Polyhedron::universe(1).toString(), "{true}");
+}
+
+//===----------------------------------------------------------------------===//
+// Chernikova's dualization against the recomputed-saturation algorithm
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+bool referenceRowLess(const ConeRow &A, const ConeRow &B) {
+  if (A.IsLinearity != B.IsLinearity)
+    return A.IsLinearity > B.IsLinearity;
+  for (size_t I = 0; I != A.Coeffs.size(); ++I) {
+    int Cmp = A.Coeffs[I].compare(B.Coeffs[I]);
+    if (Cmp != 0)
+      return Cmp < 0;
+  }
+  return false;
+}
+
+void referenceSortAndDedup(std::vector<ConeRow> &Rows) {
+  std::sort(Rows.begin(), Rows.end(), referenceRowLess);
+  Rows.erase(std::unique(Rows.begin(), Rows.end()), Rows.end());
+}
+
+/// Chernikova's dualization with the adjacency test's saturation sets
+/// recomputed at every split step, one dot product per ray and processed
+/// constraint: the reference for poly::dualize's incremental saturation
+/// rows.
+std::vector<ConeRow> referenceDualize(const std::vector<ConeRow> &Input,
+                                      unsigned Cols) {
+  std::vector<const ConeRow *> Ordered;
+  for (const ConeRow &Row : Input)
+    if (Row.IsLinearity)
+      Ordered.push_back(&Row);
+  for (const ConeRow &Row : Input)
+    if (!Row.IsLinearity)
+      Ordered.push_back(&Row);
+
+  std::vector<ConeRow> Gens;
+  for (unsigned I = 0; I != Cols; ++I) {
+    ConeRow Line;
+    Line.IsLinearity = true;
+    Line.Coeffs.assign(Cols, BigInt(0));
+    Line.Coeffs[I] = BigInt(1);
+    Gens.push_back(std::move(Line));
+  }
+
+  std::vector<const ConeRow *> Processed;
+  for (const ConeRow *Con : Ordered) {
+    std::vector<BigInt> S(Gens.size());
+    for (size_t I = 0; I != Gens.size(); ++I)
+      S[I] = dotProduct(Gens[I], *Con);
+
+    size_t Pivot = Gens.size();
+    for (size_t I = 0; I != Gens.size(); ++I)
+      if (Gens[I].IsLinearity && !S[I].isZero()) {
+        Pivot = I;
+        break;
+      }
+
+    if (Pivot != Gens.size()) {
+      BigInt AbsSL = S[Pivot].abs();
+      int SignSL = S[Pivot].sign();
+      for (size_t I = 0; I != Gens.size(); ++I) {
+        if (I == Pivot || S[I].isZero())
+          continue;
+        BigInt Mult = SignSL > 0 ? S[I] : S[I].negated();
+        for (size_t Col = 0; Col != Cols; ++Col)
+          Gens[I].Coeffs[Col] = AbsSL * Gens[I].Coeffs[Col] -
+                                Mult * Gens[Pivot].Coeffs[Col];
+        Gens[I].normalize();
+      }
+      if (Con->IsLinearity) {
+        Gens.erase(Gens.begin() + static_cast<ptrdiff_t>(Pivot));
+      } else {
+        if (SignSL < 0)
+          for (BigInt &C : Gens[Pivot].Coeffs)
+            C = C.negated();
+        Gens[Pivot].IsLinearity = false;
+        Gens[Pivot].normalize();
+      }
+      Processed.push_back(Con);
+      continue;
+    }
+
+    std::vector<size_t> Plus, Zero, Minus;
+    std::vector<ConeRow> Lines;
+    for (size_t I = 0; I != Gens.size(); ++I) {
+      if (Gens[I].IsLinearity) {
+        Lines.push_back(Gens[I]);
+        continue;
+      }
+      int Sign = S[I].sign();
+      if (Sign > 0)
+        Plus.push_back(I);
+      else if (Sign < 0)
+        Minus.push_back(I);
+      else
+        Zero.push_back(I);
+    }
+
+    std::vector<std::vector<bool>> Sat(Gens.size());
+    std::vector<size_t> Rays;
+    for (size_t I = 0; I != Gens.size(); ++I) {
+      if (Gens[I].IsLinearity)
+        continue;
+      Rays.push_back(I);
+      Sat[I].resize(Processed.size());
+      for (size_t K = 0; K != Processed.size(); ++K)
+        Sat[I][K] = dotProduct(Gens[I], *Processed[K]).isZero();
+    }
+    auto Adjacent = [&](size_t A, size_t B) {
+      for (size_t Other : Rays) {
+        if (Other == A || Other == B)
+          continue;
+        bool Covers = true;
+        for (size_t K = 0; K != Processed.size() && Covers; ++K)
+          if (Sat[A][K] && Sat[B][K] && !Sat[Other][K])
+            Covers = false;
+        if (Covers)
+          return false;
+      }
+      return true;
+    };
+
+    std::vector<ConeRow> Next = std::move(Lines);
+    for (size_t I : Zero)
+      Next.push_back(Gens[I]);
+    if (!Con->IsLinearity)
+      for (size_t I : Plus)
+        Next.push_back(Gens[I]);
+    for (size_t P : Plus)
+      for (size_t M : Minus) {
+        if (!Adjacent(P, M))
+          continue;
+        ConeRow Combo;
+        Combo.Coeffs.resize(Cols);
+        for (size_t Col = 0; Col != Cols; ++Col)
+          Combo.Coeffs[Col] =
+              S[P] * Gens[M].Coeffs[Col] - S[M] * Gens[P].Coeffs[Col];
+        if (Combo.normalize())
+          Next.push_back(std::move(Combo));
+      }
+    Gens = std::move(Next);
+    referenceSortAndDedup(Gens);
+    Processed.push_back(Con);
+  }
+  referenceSortAndDedup(Gens);
+  return Gens;
+}
+
+ConeRow randomRow(Rng &R, unsigned Cols, bool NonnegativeFirst) {
+  ConeRow Row;
+  Row.IsLinearity = R.below(5) == 0;
+  Row.Coeffs.resize(Cols);
+  for (BigInt &C : Row.Coeffs)
+    C = BigInt(static_cast<int64_t>(R.below(7)) - 3);
+  if (NonnegativeFirst && !Row.IsLinearity)
+    Row.Coeffs[0] = BigInt(static_cast<int64_t>(R.below(4)));
+  return Row;
+}
+
+/// A seeded random system: constraint-like rows, or generator-like rows
+/// (points and rays with a nonnegative homogeneous coordinate, plus
+/// lines), with duplicates, positive multiples and sums of earlier rows
+/// mixed in as redundant rows.
+std::vector<ConeRow> randomSystem(Rng &R, unsigned Cols, bool Generators) {
+  std::vector<ConeRow> Rows;
+  unsigned Count = 1 + static_cast<unsigned>(R.below(Cols + 3));
+  for (unsigned I = 0; I != Count; ++I) {
+    if (Rows.empty() || R.below(4) != 0) {
+      Rows.push_back(randomRow(R, Cols, Generators));
+      continue;
+    }
+    const ConeRow &A = Rows[R.below(Rows.size())];
+    const ConeRow &B = Rows[R.below(Rows.size())];
+    ConeRow Extra = A;
+    switch (R.below(3)) {
+    case 0: // Duplicate.
+      break;
+    case 1: // Positive multiple.
+      for (BigInt &C : Extra.Coeffs)
+        C = C * BigInt(static_cast<int64_t>(2 + R.below(3)));
+      break;
+    default: // Sum of two rows: redundant unless an equality is involved.
+      Extra.IsLinearity = A.IsLinearity && B.IsLinearity;
+      for (size_t Col = 0; Col != Cols; ++Col)
+        Extra.Coeffs[Col] = A.Coeffs[Col] + B.Coeffs[Col];
+      break;
+    }
+    Rows.push_back(std::move(Extra));
+  }
+  return Rows;
+}
+
+} // namespace
+
+TEST(DualizeTest, MatchesRecomputedSaturationRowForRow) {
+  unsigned Compared = 0;
+  for (uint64_t Seed = 1; Seed != 241; ++Seed) {
+    Rng R(Seed * 7727);
+    unsigned Cols = 2 + static_cast<unsigned>(R.below(9)); // 2..10
+    bool Generators = Seed % 2 == 0;
+    std::vector<ConeRow> Input = randomSystem(R, Cols, Generators);
+    std::vector<ConeRow> Got = dualize(Input, Cols);
+    std::vector<ConeRow> Want = referenceDualize(Input, Cols);
+    ASSERT_EQ(Got, Want) << "seed " << Seed << ", " << Cols << " columns";
+    // The output read back as an input system: the round trip the
+    // polyhedra conversions make.
+    ASSERT_EQ(dualize(Got, Cols), referenceDualize(Got, Cols))
+        << "seed " << Seed << " round trip";
+    Compared += 2;
+  }
+  EXPECT_EQ(Compared, 480u);
+}
+
+TEST(DualizeTest, MatchesOnPolyhedraOfTheStressSweeps) {
+  // Systems shaped like the analyses' own: a bounding box plus random
+  // halfspaces and equalities, as normalized constraint rows.
+  for (uint64_t Seed = 1; Seed != 41; ++Seed) {
+    Rng R(Seed);
+    unsigned Dim = 1 + static_cast<unsigned>(R.below(5));
+    std::vector<ConeRow> Rows;
+    for (unsigned I = 0; I != Dim; ++I)
+      for (int64_t Sign : {1, -1}) {
+        ConeRow Bound;
+        Bound.Coeffs.assign(Dim + 1, BigInt(0));
+        Bound.Coeffs[0] = BigInt(4);
+        Bound.Coeffs[I + 1] = BigInt(Sign);
+        Rows.push_back(std::move(Bound));
+      }
+    for (unsigned I = 0, N = static_cast<unsigned>(R.below(6)); I != N; ++I) {
+      ConeRow Row = randomRow(R, Dim + 1, false);
+      if (Row.normalize())
+        Rows.push_back(std::move(Row));
+    }
+    std::vector<ConeRow> Gens = dualize(Rows, Dim + 1);
+    ASSERT_EQ(Gens, referenceDualize(Rows, Dim + 1)) << "seed " << Seed;
+    ASSERT_EQ(dualize(Gens, Dim + 1), referenceDualize(Gens, Dim + 1))
+        << "seed " << Seed;
+  }
+}
+
+TEST(DualizeTest, MatchesWithSaturationRowsWiderThanOneWord) {
+  // Past 64 processed constraints a saturation row spans several words.
+  for (uint64_t Seed = 1; Seed != 9; ++Seed) {
+    Rng R(Seed * 31);
+    unsigned Cols = 3 + static_cast<unsigned>(R.below(2));
+    std::vector<ConeRow> Rows;
+    for (unsigned Col = 1; Col != Cols; ++Col)
+      for (int64_t Sign : {1, -1}) {
+        ConeRow Bound;
+        Bound.Coeffs.assign(Cols, BigInt(0));
+        Bound.Coeffs[0] = BigInt(9);
+        Bound.Coeffs[Col] = BigInt(Sign);
+        Rows.push_back(std::move(Bound));
+      }
+    unsigned Count = 65 + static_cast<unsigned>(R.below(80));
+    while (Rows.size() < Count) {
+      ConeRow Row = randomRow(R, Cols, false);
+      Row.IsLinearity = false;
+      Row.Coeffs[0] = BigInt(static_cast<int64_t>(3 + R.below(12)));
+      Rows.push_back(std::move(Row));
+    }
+    std::vector<ConeRow> Gens = dualize(Rows, Cols);
+    ASSERT_EQ(Gens, referenceDualize(Rows, Cols)) << "seed " << Seed;
+    ASSERT_EQ(dualize(Gens, Cols), referenceDualize(Gens, Cols))
+        << "seed " << Seed;
+  }
 }

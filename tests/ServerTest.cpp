@@ -453,6 +453,25 @@ TEST(DaemonTest, StableErrorCodes) {
         "parse-error");
     EXPECT_EQ(fieldString(C.request("{\"cmd\":\"load\"}"), "code"),
               "protocol-error");
+    // Out-of-range numeric literals are parse errors of the load; they
+    // once aborted the whole daemon (an uncaught std::out_of_range) or
+    // held it for a minute (1e300000). The daemon keeps serving.
+    for (const char *Literal : {"1e99999999999999999999", "1e300000"}) {
+      server::Json Huge = C.request(
+          std::string(R"({"cmd":"load","session":"huge","source":)") +
+          R"("real x; proc main() { x := )" + Literal + R"(; }"})");
+      EXPECT_EQ(fieldString(Huge, "code"), "parse-error") << Literal;
+      ASSERT_TRUE(Huge.get("diagnostics")) << Literal;
+      EXPECT_NE(Huge.get("diagnostics")->dump().find("number-out-of-range"),
+                std::string::npos)
+          << Literal;
+    }
+    server::Json Reload = C.request(
+        R"({"cmd":"load","session":"huge","domain":"leia",)"
+        R"("source":"real x; proc main() { x := 1e3; }"})");
+    EXPECT_TRUE(Reload.get("ok") && Reload.get("ok")->asBool());
+    server::Json Served = C.request(R"({"cmd":"analyze","session":"huge"})");
+    EXPECT_TRUE(Served.get("ok") && Served.get("ok")->asBool());
     C.request(
         R"({"cmd":"load","source":"bool x; proc main() { x := true; }"})");
     EXPECT_EQ(

@@ -186,6 +186,13 @@ TEST(RationalTest, FromStringForms) {
   EXPECT_EQ(Rational::fromString("2.5e-2").toString(), "1/40");
   EXPECT_EQ(Rational::fromString("0.3486784401").toString(),
             "3486784401/10000000000");
+  // Powers of ten come from repeated squaring; every exponent bit counts.
+  EXPECT_EQ(Rational::fromString("1e400").toString(),
+            "1" + std::string(400, '0'));
+  EXPECT_EQ(Rational::fromString("3e-37").toString(),
+            "3/1" + std::string(37, '0'));
+  EXPECT_EQ(Rational::fromString("12.5e20").toString(),
+            "125" + std::string(19, '0'));
 }
 
 TEST(RationalTest, ToDouble) {
