@@ -9,7 +9,7 @@
 /// binaries. Timing follows §6.2: each analysis is run 5 times and the 20%
 /// trimmed mean is reported (drop min and max, average the middle three).
 ///
-/// Binaries that opt in (pass argv through extractJsonPath) also accept
+/// Binaries that opt in (extract `--json=` with extractStringFlag) accept
 /// `--json=<path>` and emit one record per benchmark — name, trimmed-mean
 /// seconds, and the instrumentation counters — so successive PRs can
 /// record BENCH_*.json trajectory points.
@@ -81,21 +81,6 @@ struct BenchRecord {
   /// negative when the bench does not measure one (the key is omitted).
   double ColdSeconds = -1.0;
 };
-
-/// Removes `--json=<path>` from argv (so google-benchmark never sees it)
-/// and returns the path, or "" when absent.
-inline std::string extractJsonPath(int &Argc, char **Argv) {
-  std::string Path;
-  int Out = 1;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strncmp(Argv[I], "--json=", 7) == 0)
-      Path = Argv[I] + 7;
-    else
-      Argv[Out++] = Argv[I];
-  }
-  Argc = Out;
-  return Path;
-}
 
 /// Removes `--<name>=<value>` from argv and returns the value, or "" when
 /// absent. \p Prefix includes the equals sign, e.g. "--numeric=".

@@ -16,7 +16,7 @@
 #include "benchmarks/Programs.h"
 #include "cfg/HyperGraph.h"
 #include "core/Solver.h"
-#include "domains/BiDomain.h"
+#include "driver/Pipeline.h"
 #include "lang/Parser.h"
 
 #include <benchmark/benchmark.h>
@@ -25,7 +25,6 @@
 
 using namespace pmaf;
 using namespace pmaf::core;
-using namespace pmaf::domains;
 
 namespace {
 
@@ -41,10 +40,10 @@ struct Row {
 };
 
 AnalysisResult<Matrix> analyzeOnce(const cfg::ProgramGraph &Graph,
-                                   const BiDomain &Dom) {
+                                   const driver::BiBox &Box) {
   SolverOptions Opts;
-  Opts.UseWidening = false; // §5.1: BI is an under-abstraction from bottom.
-  BiDomain Copy = Dom;
+  driver::BiBox::preset(Opts);
+  driver::BiBox::DomainT Copy = Box.Dom;
   return solve(Graph, Copy, Opts);
 }
 
@@ -56,26 +55,25 @@ Row runProgram(const benchmarks::BenchProgram &Bench) {
   R.Rec = benchmarks::recursionKind(*Prog);
   R.Calls = Prog->countCalls();
   cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
-  BoolStateSpace Space(*Prog);
-  BiDomain Dom(Space);
+  driver::BiBox Box(*Prog);
 
-  AnalysisResult<Matrix> Result = analyzeOnce(Graph, Dom);
+  AnalysisResult<Matrix> Result = analyzeOnce(Graph, Box);
   R.Stats = Result.Stats;
   R.Seconds =
-      bench::timedTrimmedMean([&] { analyzeOnce(Graph, Dom); });
+      bench::timedTrimmedMean([&] { analyzeOnce(Graph, Box); });
 
   unsigned Main = Prog->findProc("main");
-  std::vector<double> Prior(Space.numStates(), 0.0);
+  std::vector<double> Prior(Box.Space.numStates(), 0.0);
   Prior[0] = 1.0;
   std::vector<double> Post =
-      Dom.posterior(Result.Values[Graph.proc(Main).Entry], Prior);
+      Box.Dom.posterior(Result.Values[Graph.proc(Main).Entry], Prior);
   for (double P : Post)
     R.PosteriorMass += P;
 
   // Cross-check against the forward intraprocedural baseline where it
   // applies (no recursion; §5.1 describes exactly this gap).
   if (R.Rec == 'n') {
-    baselines::ClaretForward Forward(Space);
+    baselines::ClaretForward Forward(Box.Space);
     std::vector<double> FwdPost = Forward.posterior(Main, Prior);
     double MaxDiff = 0.0;
     for (size_t S = 0; S != Post.size(); ++S)
@@ -97,10 +95,9 @@ void registerTimingBenchmarks() {
         [Source = Bench.Source](benchmark::State &State) {
           auto Prog = lang::parseProgramOrDie(Source);
           cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
-          BoolStateSpace Space(*Prog);
-          BiDomain Dom(Space);
+          driver::BiBox Box(*Prog);
           for (auto _ : State)
-            benchmark::DoNotOptimize(analyzeOnce(Graph, Dom));
+            benchmark::DoNotOptimize(analyzeOnce(Graph, Box));
         })
         ->Unit(benchmark::kMillisecond);
   }
@@ -109,7 +106,7 @@ void registerTimingBenchmarks() {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = bench::extractJsonPath(argc, argv);
+  std::string JsonPath = bench::extractStringFlag(argc, argv, "--json=");
   bench::JsonEmitter Json;
   std::printf("Table 2 (top): interprocedural Bayesian inference (§5.1)\n");
   bench::printRule(78);

@@ -15,15 +15,13 @@
 #include "cfg/HyperGraph.h"
 #include "core/Instrumentation.h"
 #include "core/Solver.h"
-#include "domains/BiDomain.h"
-#include "domains/MdpDomain.h"
+#include "driver/Pipeline.h"
 #include "lang/Parser.h"
 
 #include <benchmark/benchmark.h>
 
 using namespace pmaf;
 using namespace pmaf::core;
-using namespace pmaf::domains;
 
 namespace {
 
@@ -72,19 +70,18 @@ int main(int argc, char **argv) {
   for (const auto &Bench : benchmarks::biPrograms()) {
     auto Prog = lang::parseProgramOrDie(Bench.Source);
     cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
-    BoolStateSpace Space(*Prog);
-    BiDomain Dom(Space);
+    driver::BiBox Box(*Prog);
     SolverOptions Opts;
-    Opts.UseWidening = false;
-    printRow(Bench.Name, "BI", Graph, Dom, Opts);
+    driver::BiBox::preset(Opts);
+    printRow(Bench.Name, "BI", Graph, Box.Dom, Opts);
   }
   for (const auto &Bench : benchmarks::mdpPrograms()) {
     auto Prog = lang::parseProgramOrDie(Bench.Source);
     cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
-    MdpDomain Dom;
+    driver::MdpBox Box(*Prog);
     SolverOptions Opts;
-    Opts.WideningDelay = 10000;
-    printRow(Bench.Name, "MDP", Graph, Dom, Opts);
+    driver::MdpBox::preset(Opts);
+    printRow(Bench.Name, "MDP", Graph, Box.Dom, Opts);
   }
   bench::printRule(86);
   std::printf("\n");

@@ -19,9 +19,8 @@
 #include "benchmarks/Programs.h"
 #include "cfg/HyperGraph.h"
 #include "core/Solver.h"
-#include "domains/LeiaDomain.h"
+#include "driver/Pipeline.h"
 #include "lang/Parser.h"
-#include "poly/Polyhedron.h"
 
 #include <benchmark/benchmark.h>
 
@@ -30,12 +29,11 @@
 
 using namespace pmaf;
 using namespace pmaf::core;
-using namespace pmaf::domains;
 
 namespace {
 
 /// Resolved --numeric backend; set once in main.
-NumericBackend BenchNumeric = NumericBackend::Ladder;
+NumericBackend BenchNumeric = driver::defaultNumeric();
 
 /// Names from --programs= (empty = run everything).
 std::vector<std::string> ProgramFilter;
@@ -49,29 +47,14 @@ bool wantProgram(const char *Name) {
   return false;
 }
 
-template <poly::NumericDomain NumV>
-AnalysisResult<LeiaValueT<NumV>> analyzeOnce(const cfg::ProgramGraph &Graph,
-                                             const lang::Program &Prog) {
-  LeiaDomainT<NumV> Dom(Prog);
+template <typename Box>
+AnalysisResult<typename Box::DomainT::Value>
+analyzeOnce(const cfg::ProgramGraph &Graph, const lang::Program &Prog) {
+  Box B(Prog);
   SolverOptions Opts;
-  Opts.WideningDelay = 2;
+  Box::preset(Opts);
   Opts.Numeric = BenchNumeric;
-  return solve(Graph, Dom, Opts);
-}
-
-/// Calls \p Fn with std::type_identity<NumV> for the selected backend.
-template <typename F> decltype(auto) withBackend(F &&Fn) {
-  switch (BenchNumeric) {
-  case NumericBackend::Poly:
-    return Fn(std::type_identity<poly::Polyhedron>{});
-  case NumericBackend::Zones:
-    return Fn(std::type_identity<poly::Zones>{});
-  case NumericBackend::Intervals:
-    return Fn(std::type_identity<poly::Intervals>{});
-  case NumericBackend::Ladder:
-    break;
-  }
-  return Fn(std::type_identity<poly::LadderValue>{});
+  return solve(Graph, B.Dom, Opts);
 }
 
 void registerTimingBenchmarks() {
@@ -84,9 +67,10 @@ void registerTimingBenchmarks() {
           auto Prog = lang::parseProgramOrDie(Source);
           cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
           for (auto _ : State)
-            withBackend([&]<typename NumV>(std::type_identity<NumV>) {
-              benchmark::DoNotOptimize(analyzeOnce<NumV>(Graph, *Prog));
-            });
+            driver::withLeiaBox(
+                BenchNumeric, [&]<typename Box>(std::type_identity<Box>) {
+                  benchmark::DoNotOptimize(analyzeOnce<Box>(Graph, *Prog));
+                });
         })
         ->Unit(benchmark::kMillisecond);
   }
@@ -110,15 +94,15 @@ int runTable(const std::string &JsonPath) {
     // Clearing the conversion caches makes the first solve cold.
     poly::resetNumericPeaks();
     poly::clearConversionCaches();
-    withBackend([&]<typename NumV>(std::type_identity<NumV>) {
+    driver::withLeiaBox(BenchNumeric, [&]<typename Box>(
+                                          std::type_identity<Box>) {
       auto ColdStart = std::chrono::steady_clock::now();
-      AnalysisResult<LeiaValueT<NumV>> Result =
-          analyzeOnce<NumV>(Graph, *Prog);
+      auto Result = analyzeOnce<Box>(Graph, *Prog);
       double ColdSeconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - ColdStart)
                                .count();
       double Seconds =
-          bench::timedTrimmedMean([&] { analyzeOnce<NumV>(Graph, *Prog); });
+          bench::timedTrimmedMean([&] { analyzeOnce<Box>(Graph, *Prog); });
       bench::BenchRecord Record;
       Record.Name = Bench.Name;
       Record.Seconds = Seconds;
@@ -136,10 +120,10 @@ int runTable(const std::string &JsonPath) {
       Record.PeakGeneratorRows = Result.Stats.Numeric.PeakGeneratorRows;
       Record.MaxPackWidth = Result.Stats.Numeric.MaxPackWidth;
       Json.add(std::move(Record));
-      LeiaDomainT<NumV> Dom(*Prog);
+      Box B(*Prog);
       unsigned Entry = Graph.proc(Prog->findProc("main")).Entry;
       std::vector<std::string> Invariants =
-          Dom.describeInvariants(Result.Values[Entry]);
+          B.Dom.describeInvariants(Result.Values[Entry]);
       std::printf("%-14s %5u %4c %6u %9.4f %9.4f  ",
                   Bench.Name, benchmarks::countLoc(Bench.Source),
                   benchmarks::recursionKind(*Prog), Prog->countCalls(),
@@ -167,7 +151,7 @@ int runTable(const std::string &JsonPath) {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = bench::extractJsonPath(argc, argv);
+  std::string JsonPath = bench::extractStringFlag(argc, argv, "--json=");
   std::string NumericArg =
       bench::extractStringFlag(argc, argv, "--numeric=");
   if (!NumericArg.empty()) {

@@ -17,23 +17,20 @@
 #include "benchmarks/Programs.h"
 #include "cfg/HyperGraph.h"
 #include "core/Solver.h"
-#include "domains/MdpDomain.h"
+#include "driver/Pipeline.h"
 #include "lang/Parser.h"
 
 #include <benchmark/benchmark.h>
 
 using namespace pmaf;
 using namespace pmaf::core;
-using namespace pmaf::domains;
 
 namespace {
 
 AnalysisResult<double> analyzeOnce(const cfg::ProgramGraph &Graph) {
-  MdpDomain Dom;
+  driver::MdpBox::DomainT Dom;
   SolverOptions Opts;
-  // The MDP widening is the paper's trivial jump-to-infinity (§5.2);
-  // geometric chains get room to stabilize first.
-  Opts.WideningDelay = 10000;
+  driver::MdpBox::preset(Opts);
   return solve(Graph, Dom, Opts);
 }
 

@@ -185,7 +185,7 @@ std::vector<ServedProgram> servedPrograms() {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string JsonPath = bench::extractJsonPath(argc, argv);
+  std::string JsonPath = bench::extractStringFlag(argc, argv, "--json=");
   bench::JsonEmitter Json;
   unsigned Failures = 0;
 

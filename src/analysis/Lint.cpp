@@ -3,7 +3,7 @@
 #include "analysis/Lint.h"
 
 #include "cfg/HyperGraph.h"
-#include "domains/BoolStateSpace.h"
+#include "driver/Domains.h"
 
 #include <optional>
 #include <set>
@@ -286,7 +286,8 @@ private:
           Opts.Domain != TargetDomain::Mdp)
         warning(S.loc(), "reward-ignored",
                 "reward statement has no effect under the " +
-                    std::string(domainName(Opts.Domain)) + " domain");
+                    std::string(driver::domainEntry(Opts.Domain).Title) +
+                    " domain");
       return;
     case Stmt::Kind::Assert:
       switch (S.assertKind()) {
@@ -399,22 +400,6 @@ private:
   // Domain preconditions
   //===--------------------------------------------------------------------===//
 
-  static const char *domainName(TargetDomain D) {
-    switch (D) {
-    case TargetDomain::None:
-      return "none";
-    case TargetDomain::Leia:
-      return "LEIA";
-    case TargetDomain::Bi:
-      return "BI";
-    case TargetDomain::Mdp:
-      return "MDP";
-    case TargetDomain::Termination:
-      return "termination";
-    }
-    return "unknown";
-  }
-
   bool signedChecksEnabled() const {
     return Opts.Domain == TargetDomain::Leia && !Opts.Decomposed;
   }
@@ -472,16 +457,17 @@ private:
   /// domain's state-space model.
   void checkDomainModel() {
     if (Opts.Domain == TargetDomain::Bi) {
+      const unsigned MaxBools =
+          driver::domainEntry(TargetDomain::Bi).MaxBooleans;
       unsigned NumBools = 0;
       for (const VarInfo &Var : Prog.Vars) {
         if (Var.IsReal) {
           error(Var.Loc, "domain-mismatch",
                 "real-valued variable '" + Var.Name +
                     "' is outside the BI domain's Boolean state space");
-        } else if (++NumBools == domains::BoolStateSpace::MaxVars + 1) {
+        } else if (++NumBools == MaxBools + 1) {
           error(Var.Loc, "domain-mismatch",
-                "more than " +
-                    std::to_string(domains::BoolStateSpace::MaxVars) +
+                "more than " + std::to_string(MaxBools) +
                     " Boolean variables; the BI state space is "
                     "exponential in the variable count");
         }

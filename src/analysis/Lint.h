@@ -23,9 +23,9 @@
 ///    positive-negative decomposition of §6.2 (constant negative
 ///    assignments, gaussian samples, uniform with a constant negative lower
 ///    bound), reward statements that a non-MDP domain ignores, and programs
-///    outside a domain's state-space model (real variables or more than
-///    BoolStateSpace::MaxVars Booleans under BI, Boolean variables under
-///    LEIA).
+///    outside a domain's state-space model (real variables or more
+///    Booleans than the domain table's BI bound, driver/Domains.h, under
+///    BI; Boolean variables under LEIA).
 ///
 /// Diagnostic codes are stable kebab-case strings: "prob-range",
 /// "degenerate-prob", "undefined-variable", "undefined-procedure",

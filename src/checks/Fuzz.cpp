@@ -4,7 +4,9 @@
 
 #include "concrete/Interpreter.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -195,6 +197,23 @@ GroundTruth fuzz::estimateGroundTruth(const Program &Prog,
   GT.Runs = Runs;
   GT.Estimate = Runs ? Sum / Runs : 0.0;
   return GT;
+}
+
+double fuzz::soundnessTolerance(const Stmt &Assertion, unsigned Runs) {
+  double Base = 4.0 / std::sqrt(static_cast<double>(Runs ? Runs : 1));
+  switch (Assertion.assertKind()) {
+  case AssertKind::Prob:
+    return 0.5 * Base + 0.01;
+  case AssertKind::Reward:
+    return Base * (1.0 + std::fabs(Assertion.assertBound().toDouble())) +
+           0.05;
+  case AssertKind::Interval: {
+    double Scale = std::max(std::fabs(Assertion.assertLo().toDouble()),
+                            std::fabs(Assertion.assertHi().toDouble()));
+    return Base * (1.0 + Scale) + 0.05;
+  }
+  }
+  return 0.05;
 }
 
 std::string fuzz::soundnessViolation(const Stmt &Assertion, Verdict V,

@@ -86,6 +86,11 @@ GroundTruth estimateGroundTruth(const lang::Program &Prog,
                                 unsigned Runs = 4000,
                                 unsigned MaxSteps = 20000);
 
+/// Sampling tolerance of the oracle over \p Runs concrete runs: a few
+/// standard errors at the scale of the asserted quantity, plus a floor
+/// for float drift.
+double soundnessTolerance(const lang::Stmt &Assertion, unsigned Runs);
+
 /// The soundness oracle: \returns an explanation when verdict \p V is
 /// inconsistent with the concrete estimate at tolerance \p Tol, or the
 /// empty string when consistent. WARNING and SKIPPED are always

@@ -178,6 +178,31 @@ private:
     failAt(here(), "parse-error", std::move(Message));
   }
 
+  /// One more enclosing level of a depth counter while it lives; false
+  /// past the bound.
+  struct Nested {
+    explicit Nested(unsigned &Depth) : Depth(++Depth) {}
+    ~Nested() { --Depth; }
+    explicit operator bool() const { return Depth <= MaxNestingDepth; }
+    unsigned &Depth;
+  };
+
+  std::nullptr_t tooDeep(SourceLoc Loc, const char *What) {
+    failAt(Loc, "nesting-too-deep",
+           std::string(What) + " nest deeper than " +
+               std::to_string(MaxNestingDepth) + " levels");
+    return nullptr;
+  }
+
+  /// Sets Height for a node over operands at most \p Operand high; false
+  /// once that passes the bound.
+  bool raise(unsigned Operand, SourceLoc Loc) {
+    Height = Operand + 1;
+    if (Height > MaxNestingDepth)
+      tooDeep(Loc, "expressions");
+    return Height <= MaxNestingDepth;
+  }
+
   //===--------------------------------------------------------------------===//
   // Declarations
   //===--------------------------------------------------------------------===//
@@ -387,6 +412,9 @@ private:
     if (matchKeyword("if"))
       return parseIf();
     if (matchKeyword("while")) {
+      Nested Level(StmtDepth);
+      if (!Level)
+        return tooDeep(here(), "statements");
       Guard G;
       if (!parseGuard(G))
         return nullptr;
@@ -434,6 +462,9 @@ private:
 
   Stmt::Ptr parseIf() {
     SourceLoc IfLoc = here();
+    Nested Level(StmtDepth);
+    if (!Level)
+      return tooDeep(IfLoc, "statements");
     Guard G;
     if (!parseGuard(G))
       return nullptr;
@@ -581,8 +612,9 @@ private:
   Cond::Ptr parseCondOr() {
     Cond::Ptr Lhs = parseCondAnd();
     while (Lhs && match(Token::Kind::OrOr)) {
+      const unsigned LhsHeight = Height;
       Cond::Ptr Rhs = parseCondAnd();
-      if (!Rhs)
+      if (!Rhs || !raise(std::max(LhsHeight, Height), Rhs->loc()))
         return nullptr;
       SourceLoc Loc = Lhs->loc();
       Lhs = Cond::makeOr(std::move(Lhs), std::move(Rhs));
@@ -594,8 +626,9 @@ private:
   Cond::Ptr parseCondAnd() {
     Cond::Ptr Lhs = parseCondUnary();
     while (Lhs && match(Token::Kind::AndAnd)) {
+      const unsigned LhsHeight = Height;
       Cond::Ptr Rhs = parseCondUnary();
-      if (!Rhs)
+      if (!Rhs || !raise(std::max(LhsHeight, Height), Rhs->loc()))
         return nullptr;
       SourceLoc Loc = Lhs->loc();
       Lhs = Cond::makeAnd(std::move(Lhs), std::move(Rhs));
@@ -607,8 +640,11 @@ private:
   Cond::Ptr parseCondUnary() {
     SourceLoc Loc = here();
     if (match(Token::Kind::Bang)) {
+      Nested Level(ExprDepth);
+      if (!Level)
+        return tooDeep(Loc, "expressions");
       Cond::Ptr Operand = parseCondUnary();
-      if (!Operand)
+      if (!Operand || !raise(Height, Loc))
         return nullptr;
       Cond::Ptr C = Cond::makeNot(std::move(Operand));
       C->setLoc(Loc);
@@ -619,6 +655,7 @@ private:
 
   Cond::Ptr parseCondAtom() {
     SourceLoc Loc = here();
+    Height = 0;
     if (matchKeyword("true")) {
       Cond::Ptr C = Cond::makeTrue();
       C->setLoc(Loc);
@@ -638,9 +675,13 @@ private:
       std::string SavedError = Error;
       Diagnostic SavedDiag = Diag;
       advance();
-      Cond::Ptr Inner = parseCond();
-      if (Inner && match(Token::Kind::RParen) && !startsComparisonTail()) {
-        return Inner;
+      {
+        Nested Level(ExprDepth);
+        if (!Level)
+          return tooDeep(Loc, "expressions");
+        Cond::Ptr Inner = parseCond();
+        if (Inner && match(Token::Kind::RParen) && !startsComparisonTail())
+          return raise(Height, Loc) ? std::move(Inner) : nullptr;
       }
       Pos = Saved;
       Error = std::move(SavedError);
@@ -652,8 +693,9 @@ private:
       return nullptr;
     std::optional<CmpOp> Op = matchCmpOp();
     if (Op) {
+      const unsigned LhsHeight = Height;
       Expr::Ptr Rhs = parseExpr();
-      if (!Rhs)
+      if (!Rhs || !raise(std::max(LhsHeight, Height), Loc))
         return nullptr;
       Cond::Ptr C = Cond::makeCmp(*Op, std::move(Lhs), std::move(Rhs));
       C->setLoc(Loc);
@@ -723,44 +765,30 @@ private:
 
   Expr::Ptr parseAdditive() {
     Expr::Ptr Lhs = parseMultiplicative();
-    while (Lhs) {
-      if (match(Token::Kind::Plus)) {
-        Expr::Ptr Rhs = parseMultiplicative();
-        if (!Rhs)
-          return nullptr;
-        Lhs = makeLocatedBinary(Expr::Kind::Add, std::move(Lhs),
-                                std::move(Rhs));
-      } else if (match(Token::Kind::Minus)) {
-        Expr::Ptr Rhs = parseMultiplicative();
-        if (!Rhs)
-          return nullptr;
-        Lhs = makeLocatedBinary(Expr::Kind::Sub, std::move(Lhs),
-                                std::move(Rhs));
-      } else {
-        break;
-      }
+    while (Lhs && (check(Token::Kind::Plus) || check(Token::Kind::Minus))) {
+      const Expr::Kind Op = advance().TheKind == Token::Kind::Plus
+                                ? Expr::Kind::Add
+                                : Expr::Kind::Sub;
+      const unsigned LhsHeight = Height;
+      Expr::Ptr Rhs = parseMultiplicative();
+      if (!Rhs || !raise(std::max(LhsHeight, Height), Rhs->loc()))
+        return nullptr;
+      Lhs = makeLocatedBinary(Op, std::move(Lhs), std::move(Rhs));
     }
     return Lhs;
   }
 
   Expr::Ptr parseMultiplicative() {
     Expr::Ptr Lhs = parseUnaryExpr();
-    while (Lhs) {
-      if (match(Token::Kind::Star)) {
-        Expr::Ptr Rhs = parseUnaryExpr();
-        if (!Rhs)
-          return nullptr;
-        Lhs = makeLocatedBinary(Expr::Kind::Mul, std::move(Lhs),
-                                std::move(Rhs));
-      } else if (match(Token::Kind::Slash)) {
-        Expr::Ptr Rhs = parseUnaryExpr();
-        if (!Rhs)
-          return nullptr;
-        Lhs = makeLocatedBinary(Expr::Kind::Div, std::move(Lhs),
-                                std::move(Rhs));
-      } else {
-        break;
-      }
+    while (Lhs && (check(Token::Kind::Star) || check(Token::Kind::Slash))) {
+      const Expr::Kind Op = advance().TheKind == Token::Kind::Star
+                                ? Expr::Kind::Mul
+                                : Expr::Kind::Div;
+      const unsigned LhsHeight = Height;
+      Expr::Ptr Rhs = parseUnaryExpr();
+      if (!Rhs || !raise(std::max(LhsHeight, Height), Rhs->loc()))
+        return nullptr;
+      Lhs = makeLocatedBinary(Op, std::move(Lhs), std::move(Rhs));
     }
     return Lhs;
   }
@@ -768,8 +796,11 @@ private:
   Expr::Ptr parseUnaryExpr() {
     SourceLoc Loc = here();
     if (match(Token::Kind::Minus)) {
+      Nested Level(ExprDepth);
+      if (!Level)
+        return tooDeep(Loc, "expressions");
       Expr::Ptr Operand = parseUnaryExpr();
-      if (!Operand)
+      if (!Operand || !raise(Height, Loc))
         return nullptr;
       Expr::Ptr Zero = Expr::makeNumber(Rational(0));
       Zero->setLoc(Loc);
@@ -783,6 +814,7 @@ private:
 
   Expr::Ptr parsePrimaryExpr() {
     SourceLoc Loc = here();
+    Height = 0;
     if (check(Token::Kind::Number)) {
       if (!literalInRange(peek().Text)) {
         std::string Shown = peek().Text.size() > 24
@@ -822,8 +854,12 @@ private:
       return E;
     }
     if (match(Token::Kind::LParen)) {
+      Nested Level(ExprDepth);
+      if (!Level)
+        return tooDeep(Loc, "expressions");
       Expr::Ptr Inner = parseExpr();
-      if (!Inner || !expect(Token::Kind::RParen, "')'"))
+      if (!Inner || !expect(Token::Kind::RParen, "')'") ||
+          !raise(Height, Loc))
         return nullptr;
       return Inner;
     }
@@ -886,6 +922,13 @@ private:
   size_t Pos = 0;
   Program *Current = nullptr;
   unsigned LoopDepth = 0;
+  /// Enclosing if/while statements, and enclosing parentheses and unary
+  /// operators: the latter bound the recursion before the finished tree,
+  /// at least that high, can be measured.
+  unsigned StmtDepth = 0, ExprDepth = 0;
+  /// Height of the expression or condition the last parse returned: one
+  /// level per operator and per pair of parentheses, 0 for a leaf.
+  unsigned Height = 0;
   std::string Error;
   Diagnostic Diag;
 };

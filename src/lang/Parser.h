@@ -49,6 +49,13 @@
 namespace pmaf {
 namespace lang {
 
+/// The deepest nesting a program may have, counted two ways: if and while
+/// statements inside one another (each else-if is one more level), and the
+/// height of an expression or condition, one level per operator and per
+/// pair of parentheses. Every later pass recurses over the tree, so deeper
+/// programs are rejected with the code "nesting-too-deep".
+inline constexpr unsigned MaxNestingDepth = 512;
+
 /// Result of a parse: either a program, or a diagnostic.
 struct ParseResult {
   std::unique_ptr<Program> Prog;
@@ -58,8 +65,8 @@ struct ParseResult {
   /// syntax errors, and "undefined-variable", "undefined-procedure",
   /// "redeclared-variable", "redefined-procedure", "misplaced-jump",
   /// "prob-range", "reward-range", "interval-range", "no-procedures",
-  /// "number-out-of-range" for the semantic checks the parser performs
-  /// itself.
+  /// "number-out-of-range", "nesting-too-deep" for the semantic checks the
+  /// parser performs itself.
   Diagnostic Diag;
 
   explicit operator bool() const { return Prog != nullptr; }

@@ -7,6 +7,7 @@
 #include "server/Daemon.h"
 
 #include "core/Schedule.h"
+#include "driver/Domains.h"
 #include "server/Protocol.h"
 
 #include <csignal>
@@ -274,7 +275,8 @@ std::string Daemon::handle(const std::string &Payload, bool &Shutdown) {
                         "load requires a string \"source\" field")
           .dump();
     const std::string DomainName = getString(*Req, "domain", "auto");
-    const std::string NumericName = getString(*Req, "numeric", "ladder");
+    const std::string NumericName = getString(
+        *Req, "numeric", core::toString(driver::defaultNumeric()));
     std::optional<core::NumericBackend> Backend =
         core::parseNumericBackend(NumericName);
     if (!Backend)

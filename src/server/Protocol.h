@@ -14,7 +14,8 @@
 /// Requests are JSON objects dispatched on their `"cmd"` field:
 ///
 ///   {"cmd":"load",    "session":"s", "source":"proc main() {...}",
-///                     "domain":"auto|bi|mdp|leia", "numeric":"ladder"}
+///                     "domain":"auto|leia|bi|mdp|termination",
+///                     "numeric":"poly|ladder|zones|intervals"}
 ///   {"cmd":"analyze", "session":"s", "strategy":"wto|round-robin|worklist",
 ///                     "cold":false, "widening_delay":2, "max_updates":1000000}
 ///   {"cmd":"edit",    "session":"s", "source":"<full new source>"}
@@ -27,7 +28,8 @@
 ///
 /// Every reply carries `"ok"`; failures add stable `"code"` + `"error"`
 /// fields (`protocol-error`, `unknown-command`, `unknown-session`,
-/// `invalid-flag-value`, `parse-error`, `lint-error`, ...).
+/// `invalid-flag-value`, `unknown-domain`, `parse-error`, `lint-error`,
+/// ...).
 ///
 /// The Json class here is a deliberately small, dependency-free value
 /// type — parse, build, dump — sufficient for the protocol; it is not a

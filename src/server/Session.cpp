@@ -6,15 +6,11 @@
 
 #include "server/Session.h"
 
-#include "analysis/Lint.h"
 #include "cfg/HyperGraph.h"
 #include "cfg/Wto.h"
 #include "core/CompiledProgram.h"
-#include "domains/BiDomain.h"
-#include "domains/LeiaDomain.h"
-#include "domains/MdpDomain.h"
+#include "driver/Pipeline.h"
 #include "lang/Ast.h"
-#include "lang/Parser.h"
 #include "support/Diagnostics.h"
 
 #include <chrono>
@@ -25,47 +21,6 @@ using namespace pmaf;
 using namespace pmaf::server;
 
 namespace {
-
-/// Domain auto-detection, mirroring the CLI: real variables -> leia,
-/// reward statements -> mdp, else bi.
-bool stmtHasReward(const lang::Stmt &S) {
-  if (S.kind() == lang::Stmt::Kind::Reward)
-    return true;
-  switch (S.kind()) {
-  case lang::Stmt::Kind::Block:
-    for (const lang::Stmt::Ptr &Child : S.stmts())
-      if (stmtHasReward(*Child))
-        return true;
-    return false;
-  case lang::Stmt::Kind::If:
-    return stmtHasReward(S.thenStmt()) ||
-           (S.elseStmt() && stmtHasReward(*S.elseStmt()));
-  case lang::Stmt::Kind::While:
-    return stmtHasReward(S.body());
-  default:
-    return false;
-  }
-}
-
-std::string detectDomainName(const lang::Program &Prog) {
-  for (const lang::VarInfo &V : Prog.Vars)
-    if (V.IsReal)
-      return "leia";
-  for (const lang::Procedure &P : Prog.Procs)
-    if (P.Body && stmtHasReward(*P.Body))
-      return "mdp";
-  return "bi";
-}
-
-analysis::TargetDomain targetFromName(const std::string &Name) {
-  if (Name == "leia")
-    return analysis::TargetDomain::Leia;
-  if (Name == "bi")
-    return analysis::TargetDomain::Bi;
-  if (Name == "mdp")
-    return analysis::TargetDomain::Mdp;
-  return analysis::TargetDomain::None;
-}
 
 /// Per-node contiguous ranges [begin, end) of each procedure's nodes.
 /// The lowering allocates every procedure's nodes in one contiguous,
@@ -107,50 +62,6 @@ std::string fnvFingerprint(uint64_t H) {
   std::snprintf(Buf, sizeof Buf, "%016llx", (unsigned long long)H);
   return Buf;
 }
-
-/// Domain "boxes": one per analyzable domain, bundling construction, the
-/// CLI-matching solver preset, and the assertion checker. Engine<Box> is
-/// instantiated over these.
-struct BiBox {
-  using DomainT = domains::BiDomain;
-  explicit BiBox(const lang::Program &P) : Space(P), Dom(Space) {}
-  DomainT &domain() { return Dom; }
-  static void preset(core::SolverOptions &O) { O.UseWidening = false; }
-  checks::ChecksDb check(const cfg::ProgramGraph &G,
-                         const std::vector<typename DomainT::Value> &V,
-                         const checks::CheckerOptions &O) const {
-    return checks::checkBiSummaries(
-        Space, G, [&](unsigned N) { return V[N]; }, O);
-  }
-  domains::BoolStateSpace Space;
-  domains::BiDomain Dom;
-};
-
-struct MdpBox {
-  using DomainT = domains::MdpDomain;
-  explicit MdpBox(const lang::Program &) {}
-  DomainT &domain() { return Dom; }
-  static void preset(core::SolverOptions &O) { O.WideningDelay = 10000; }
-  checks::ChecksDb check(const cfg::ProgramGraph &G,
-                         const std::vector<double> &V,
-                         const checks::CheckerOptions &O) const {
-    return checks::checkMdp(G, V, O);
-  }
-  domains::MdpDomain Dom;
-};
-
-template <typename NumV> struct LeiaBox {
-  using DomainT = domains::LeiaDomainT<NumV>;
-  explicit LeiaBox(const lang::Program &P) : Dom(P) {}
-  DomainT &domain() { return Dom; }
-  static void preset(core::SolverOptions &) {}
-  checks::ChecksDb check(const cfg::ProgramGraph &G,
-                         const std::vector<typename DomainT::Value> &V,
-                         const checks::CheckerOptions &O) const {
-    return checks::checkLeia(Dom, G, V, O);
-  }
-  DomainT Dom;
-};
 
 } // namespace
 
@@ -197,7 +108,7 @@ public:
     SourceText = std::move(NewSource);
     Graph = std::make_unique<cfg::ProgramGraph>(cfg::ProgramGraph::build(*Prog));
     TheBox = std::make_unique<Box>(*Prog);
-    Compiled = std::make_unique<core::CompiledProgram<D>>(*Graph, TheBox->domain());
+    Compiled = std::make_unique<core::CompiledProgram<D>>(*Graph, TheBox->Dom);
     LastValues.clear();
     HaveFixpoint = false;
     WarmReady = false;
@@ -240,7 +151,7 @@ public:
 
     auto NewBox = std::make_unique<Box>(*NewProg);
     auto NewCompiled =
-        std::make_unique<core::CompiledProgram<D>>(*NewGraph, NewBox->domain());
+        std::make_unique<core::CompiledProgram<D>>(*NewGraph, NewBox->Dom);
 
     // Adopt what the edit cannot have touched: per-edge transformers and
     // (when a converged fixpoint is resident) per-node values of every
@@ -249,7 +160,7 @@ public:
         HaveFixpoint && LastValues.size() == Graph->numNodes();
     std::vector<Value> NewValues;
     if (CarryValues)
-      NewValues.assign(NewGraph->numNodes(), NewBox->domain().bottom());
+      NewValues.assign(NewGraph->numNodes(), NewBox->Dom.bottom());
     std::vector<unsigned> DirtySeeds;
     for (unsigned P = 0; P != NumProcs; ++P) {
       const auto [NewBegin, NewEnd] = (*NewRanges)[P];
@@ -356,15 +267,9 @@ public:
     DiagnosticEngine Diags;
     Diags.setSource("<session>", SourceText);
     Diags.setWarningsAsErrors(Req.Werror);
-    checks::reportChecks(Reply.Checks, Diags);
-    Diags.sortByLocation();
+    Reply.Exit =
+        driver::checkOutcome(Reply.Checks, Result.Stats.Converged, Diags);
     Reply.DiagnosticsJson = Diags.renderJson();
-    if (Diags.hasErrors())
-      Reply.Exit = 1;
-    else if (!Result.Stats.Converged)
-      Reply.Exit = 3;
-    else
-      Reply.Exit = 0;
 
     // FNV-1a over every node's rendered value plus the verdicts: two
     // solves agree on the fingerprint iff they computed the same
@@ -377,7 +282,7 @@ public:
       }
     };
     for (unsigned V = 0; V != NumNodes; ++V) {
-      Mix(TheBox->domain().toString(Result.Values[V]));
+      Mix(TheBox->Dom.toString(Result.Values[V]));
       Mix("\n");
     }
     Mix(Reply.ChecksJson);
@@ -421,68 +326,38 @@ LoadReply Session::load(const std::string &Source,
                         core::NumericBackend Backend) {
   std::lock_guard<std::mutex> Lock(Mu);
   LoadReply R;
+  const std::string Name = DomainName.empty() ? "auto" : DomainName;
+  if (Name != "auto" && !driver::findDomain(Name)) {
+    R.ErrorCode = "unknown-domain";
+    R.Error = "unsupported domain '" + Name + "' (expected auto, " +
+              driver::domainNames() + ")";
+    return R;
+  }
   DiagnosticEngine Diags;
   Diags.setSource("<session>", Source);
-  lang::ParseResult Parsed = lang::parseProgram(Source, Diags);
-  if (!Parsed) {
-    Diags.sortByLocation();
-    R.ErrorCode = "parse-error";
-    R.Error = "the program does not parse";
-    R.DiagnosticsJson = Diags.renderJson();
-    return R;
-  }
-  std::unique_ptr<lang::Program> Prog = std::move(Parsed.Prog);
-  const std::string Resolved = (DomainName.empty() || DomainName == "auto")
-                                   ? detectDomainName(*Prog)
-                                   : DomainName;
-  if (Resolved != "bi" && Resolved != "mdp" && Resolved != "leia") {
-    R.ErrorCode = "unknown-domain";
-    R.Error = "unsupported domain '" + Resolved +
-              "' (expected auto, bi, mdp, or leia)";
-    return R;
-  }
-  analysis::LintOptions LOpts;
-  LOpts.Domain = targetFromName(Resolved);
-  analysis::lintProgram(*Prog, Diags, LOpts);
+  driver::Parsed Front = driver::frontEnd(Source, Diags, Name);
   Diags.sortByLocation();
   R.DiagnosticsJson = Diags.renderJson();
+  if (!Front.Prog) {
+    R.ErrorCode = "parse-error";
+    R.Error = "the program does not parse";
+    return R;
+  }
   if (Diags.hasErrors()) {
     R.ErrorCode = "lint-error";
     R.Error = "the program does not lint";
     return R;
   }
 
-  std::unique_ptr<EngineBase> NewEngine;
-  if (Resolved == "bi") {
-    NewEngine = std::make_unique<Engine<BiBox>>(std::move(Prog), Source);
-  } else if (Resolved == "mdp") {
-    NewEngine = std::make_unique<Engine<MdpBox>>(std::move(Prog), Source);
-  } else {
-    switch (Backend) {
-    case core::NumericBackend::Poly:
-      NewEngine = std::make_unique<Engine<LeiaBox<poly::Polyhedron>>>(
-          std::move(Prog), Source);
-      break;
-    case core::NumericBackend::Ladder:
-      NewEngine = std::make_unique<Engine<LeiaBox<poly::LadderValue>>>(
-          std::move(Prog), Source);
-      break;
-    case core::NumericBackend::Zones:
-      NewEngine = std::make_unique<Engine<LeiaBox<poly::Zones>>>(
-          std::move(Prog), Source);
-      break;
-    case core::NumericBackend::Intervals:
-      NewEngine = std::make_unique<Engine<LeiaBox<poly::Intervals>>>(
-          std::move(Prog), Source);
-      break;
-    }
-  }
-  TheEngine = std::move(NewEngine);
-  Domain = Resolved;
-  Numeric = Backend;
+  driver::withBox(*Front.Domain, Backend,
+                  [&]<typename Box>(std::type_identity<Box>) {
+                    TheEngine = std::make_unique<Engine<Box>>(
+                        std::move(Front.Prog), Source);
+                  });
+  Domain = Front.Domain->Name;
   ++TheCounters.Loads;
   R.Ok = true;
-  R.Domain = Resolved;
+  R.Domain = Domain;
   R.Procs = static_cast<unsigned>(TheEngine->program().Procs.size());
   R.Nodes = TheEngine->numNodes();
   return R;
@@ -513,17 +388,14 @@ EditReply Session::edit(const std::string &NewSource) {
   }
   DiagnosticEngine Diags;
   Diags.setSource("<edit>", NewSource);
-  lang::ParseResult Parsed = lang::parseProgram(NewSource, Diags);
-  if (!Parsed) {
+  std::unique_ptr<lang::Program> NewProg =
+      driver::frontEnd(NewSource, Diags, Domain).Prog;
+  if (!NewProg) {
     R.ErrorCode = "parse-error";
     R.Error = "the edited program does not parse; "
               "the previous program stays resident";
     return R;
   }
-  std::unique_ptr<lang::Program> NewProg = std::move(Parsed.Prog);
-  analysis::LintOptions LOpts;
-  LOpts.Domain = targetFromName(Domain);
-  analysis::lintProgram(*NewProg, Diags, LOpts);
   if (Diags.hasErrors()) {
     R.ErrorCode = "lint-error";
     R.Error = "the edited program does not lint; "

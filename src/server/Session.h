@@ -71,9 +71,8 @@ struct IncrementalReuse {
   uint64_t NodesTotal = 0;
 };
 
-/// Solver knobs for one analyze. Unset fields keep the per-domain presets
-/// (bi solves without widening, mdp with a long widening delay) exactly as
-/// the CLI's CliSolverConfig overlay does.
+/// Solver knobs for one analyze. Unset fields keep the domain's preset
+/// (its box in driver/Pipeline.h), as `pmaf`'s flags do.
 struct AnalyzeRequest {
   std::optional<core::IterationStrategy> Strategy;
   std::optional<unsigned> WideningDelay;
@@ -141,8 +140,8 @@ public:
   ~Session();
 
   /// Parses, lints, and lowers \p Source, replacing any prior program.
-  /// \p DomainName is "auto" (detect: real vars -> leia, rewards -> mdp,
-  /// else bi), "bi", "mdp", or "leia"; \p Numeric selects the LEIA
+  /// \p DomainName is "auto" (driver::detectDomain's pick) or a name of
+  /// the domain table (driver/Domains.h); \p Numeric selects the LEIA
   /// backend.
   LoadReply load(const std::string &Source, const std::string &DomainName,
                  core::NumericBackend Numeric);
@@ -173,7 +172,6 @@ private:
   mutable std::mutex Mu;
   std::unique_ptr<EngineBase> TheEngine;
   std::string Domain;
-  core::NumericBackend Numeric = core::NumericBackend::Ladder;
   Counters TheCounters;
 };
 

@@ -23,7 +23,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -49,13 +52,29 @@ inline std::optional<uint64_t> parseUnsigned(std::string_view Text) {
   return Value;
 }
 
-/// parseUnsigned restricted to values that fit an `unsigned` (the width
-/// of --jobs, --widening-delay, --count, ...).
-inline std::optional<unsigned> parseUnsigned32(std::string_view Text) {
-  std::optional<uint64_t> Wide = parseUnsigned(Text);
-  if (!Wide || *Wide > 0xffffffffull)
-    return std::nullopt;
-  return static_cast<unsigned>(*Wide);
+/// Parses the payload of the command-line flag \p Arg, spelled
+/// `<Flag>=<n>`, into \p Out, whose type bounds it. On failure prints the
+/// diagnostic (stable code `invalid-flag-value`) and returns false; the
+/// tools exit 2: `--jobs=abc`, `--jobs=-2`, `--max-updates=1e9` and
+/// `--port=70000` are hard usage errors.
+template <typename T>
+bool parseFlag(std::string_view Arg, const char *Flag, T &Out) {
+  const std::string Value(Arg.substr(std::strlen(Flag) + 1));
+  std::optional<uint64_t> Parsed = parseUnsigned(Value);
+  if (Parsed && *Parsed <= std::numeric_limits<T>::max()) {
+    Out = static_cast<T>(*Parsed);
+    return true;
+  }
+  if (!Parsed)
+    std::fprintf(stderr,
+                 "error: %s expects an unsigned integer, got '%s' "
+                 "[invalid-flag-value]\n",
+                 Flag, Value.c_str());
+  else
+    std::fprintf(stderr,
+                 "error: %s value %s is out of range [invalid-flag-value]\n",
+                 Flag, Value.c_str());
+  return false;
 }
 
 /// Parses \p Text as a finite double. The entire string must be consumed

@@ -1,5 +1,6 @@
 //===- tests/LangTest.cpp - Lexer and parser unit tests -------------------===//
 
+#include "NestedPrograms.h"
 #include "lang/Lexer.h"
 #include "lang/Parser.h"
 
@@ -278,4 +279,39 @@ TEST(ParserTest, ErrorsCarryPositions) {
   ParseResult R = parseProgram("proc main() {\n  x := 1;\n}");
   ASSERT_FALSE(R);
   EXPECT_EQ(R.Error.substr(0, 2), "2:");
+}
+
+TEST(ParserTest, NestingIsBoundedForEveryShape) {
+  for (testgen::Nesting Shape : testgen::AllNestings) {
+    SCOPED_TRACE(testgen::toString(Shape));
+    EXPECT_TRUE(parseProgram(testgen::nestedProgram(Shape, MaxNestingDepth)));
+    // One level past the bound, and far past it: the depths that
+    // overflowed the stack before the bound existed.
+    for (unsigned Depth : {MaxNestingDepth + 1, 20000u}) {
+      ParseResult R = parseProgram(testgen::nestedProgram(Shape, Depth));
+      ASSERT_FALSE(R) << Depth;
+      EXPECT_EQ(R.Diag.Code, "nesting-too-deep") << Depth;
+    }
+  }
+}
+
+TEST(ParserTest, NestingCountsEachOperatorOnce) {
+  // Heights add along a path, not across siblings: 300 parentheses on
+  // each side of a + are 301 levels, well inside the bound.
+  const std::string Side =
+      std::string(300, '(') + "x" + std::string(300, ')');
+  EXPECT_TRUE(parseProgram("real x; proc main() { x := " + Side + " + " +
+                           Side + "; }"));
+  // Conditions count like expressions; an else-if is one more statement.
+  std::string Elifs = "bool b; proc main() { if (b) { skip; }";
+  for (unsigned I = 0; I != MaxNestingDepth; ++I)
+    Elifs += " else if (b) { skip; }";
+  ParseResult R = parseProgram(Elifs + " }");
+  ASSERT_FALSE(R);
+  EXPECT_EQ(R.Diag.Code, "nesting-too-deep");
+  std::string Nots = "bool b; proc main() { if (" +
+                     std::string(MaxNestingDepth, '!') + "b) { skip; } }";
+  EXPECT_TRUE(parseProgram(Nots));
+  Nots.insert(Nots.find('!'), "!");
+  EXPECT_FALSE(parseProgram(Nots));
 }

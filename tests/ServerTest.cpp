@@ -34,6 +34,7 @@
 #include "server/Session.h"
 #include "support/Diagnostics.h"
 
+#include "NestedPrograms.h"
 #include "RandomProgramGen.h"
 
 #include <gtest/gtest.h>
@@ -307,6 +308,21 @@ TEST(ServerSessionTest, BadEditsKeepThePriorProgramResident) {
   EXPECT_EQ(After.Fingerprint, Before.Fingerprint);
 }
 
+TEST(ServerSessionTest, ProgramsNestedToTheBoundAnalyze) {
+  for (testgen::Nesting Shape : testgen::AllNestings) {
+    SCOPED_TRACE(testgen::toString(Shape));
+    server::Session S;
+    server::LoadReply LR =
+        S.load(testgen::nestedProgram(Shape, lang::MaxNestingDepth), "auto",
+               core::NumericBackend::Ladder);
+    ASSERT_TRUE(LR.Ok) << LR.Error;
+    server::AnalyzeReply AR = S.analyze({});
+    ASSERT_TRUE(AR.Ok) << AR.Error;
+    EXPECT_TRUE(AR.Converged);
+    EXPECT_EQ(AR.Exit, 0);
+  }
+}
+
 TEST(ServerSessionTest, AnalyzeBeforeLoadFails) {
   server::Session S;
   server::AnalyzeReply AR = S.analyze({});
@@ -485,6 +501,86 @@ TEST(DaemonTest, StableErrorCodes) {
     EXPECT_EQ(fieldString(C.request(R"({"cmd":"configure","jobs":4})"),
                           "code"),
               "unknown-command");
+  }
+  D.requestStop();
+  D.wait();
+}
+
+TEST(DaemonTest, LoadsEveryDomainOfTheTable) {
+  server::Daemon D;
+  std::string Error;
+  ASSERT_TRUE(D.start(Error)) << Error;
+  {
+    TestClient C(D.port());
+    // A reward assertion alone is enough to pick the MDP domain.
+    server::Json Auto = C.request(
+        R"({"cmd":"load","session":"auto","domain":"auto","source":)"
+        R"("bool a; proc main() { assert_reward <= 1; )"
+        R"(a ~ bernoulli(1/2); }"})");
+    ASSERT_TRUE(Auto.get("ok") && Auto.get("ok")->asBool());
+    EXPECT_EQ(fieldString(Auto, "domain"), "mdp");
+    server::Json Proved = C.request(R"({"cmd":"analyze","session":"auto"})");
+    ASSERT_TRUE(Proved.get("checks"));
+    EXPECT_EQ(Proved.get("checks")->get("safe")->asUnsigned(),
+              std::optional<uint64_t>(1));
+
+    server::Json Term = C.request(
+        R"({"cmd":"load","session":"term","domain":"termination","source":)"
+        R"("bool a; proc main() { assert_prob(a) >= 1/2; )"
+        R"(a ~ bernoulli(1/2); }"})");
+    ASSERT_TRUE(Term.get("ok") && Term.get("ok")->asBool());
+    EXPECT_EQ(fieldString(Term, "domain"), "termination");
+    server::Json Skipped = C.request(R"({"cmd":"analyze","session":"term"})");
+    ASSERT_TRUE(Skipped.get("ok") && Skipped.get("ok")->asBool());
+    ASSERT_TRUE(Skipped.get("checks"));
+    EXPECT_EQ(Skipped.get("checks")->get("skipped")->asUnsigned(),
+              std::optional<uint64_t>(1));
+
+    EXPECT_EQ(fieldString(
+                  C.request(R"({"cmd":"load","domain":"typo","source":)"
+                            R"("bool a; proc main() { a := true; }"})"),
+                  "code"),
+              "unknown-domain");
+  }
+  D.requestStop();
+  D.wait();
+}
+
+TEST(DaemonTest, InputsPastTheBoundsAreRejectedAndTheDaemonServesOn) {
+  server::Daemon D;
+  std::string Error;
+  ASSERT_TRUE(D.start(Error)) << Error;
+  {
+    TestClient C(D.port());
+    // One dense BI value over 13 Booleans would be 512 MiB.
+    std::string Bools = "bool b0";
+    for (int I = 1; I != 13; ++I)
+      Bools += ", b" + std::to_string(I);
+    server::Json Wide = C.request(
+        R"({"cmd":"load","session":"s","domain":"bi","source":")" + Bools +
+        R"(; proc main() { b0 := true; }"})");
+    EXPECT_EQ(fieldString(Wide, "code"), "lint-error");
+    ASSERT_TRUE(Wide.get("diagnostics"));
+    EXPECT_NE(Wide.get("diagnostics")->dump().find("domain-mismatch"),
+              std::string::npos);
+
+    // A 20,000-deep expression once overflowed the connection's stack.
+    server::Json Deep = C.request(
+        R"({"cmd":"load","session":"s","source":")" +
+        testgen::nestedProgram(testgen::Nesting::Parens, 20000) + R"("})");
+    EXPECT_EQ(fieldString(Deep, "code"), "parse-error");
+    ASSERT_TRUE(Deep.get("diagnostics"));
+    EXPECT_NE(Deep.get("diagnostics")->dump().find("nesting-too-deep"),
+              std::string::npos);
+
+    server::Json Reload = C.request(
+        R"({"cmd":"load","session":"s","source":")" +
+        testgen::nestedProgram(testgen::Nesting::Parens,
+                               lang::MaxNestingDepth) +
+        R"("})");
+    ASSERT_TRUE(Reload.get("ok") && Reload.get("ok")->asBool());
+    server::Json Served = C.request(R"({"cmd":"analyze","session":"s"})");
+    EXPECT_TRUE(Served.get("ok") && Served.get("ok")->asBool());
   }
   D.requestStop();
   D.wait();

@@ -52,16 +52,19 @@
 //
 // `pmaf verify-corpus` fans a directory of programs across --jobs worker
 // threads (default 4; 0 = one per hardware thread) — the only place the
-// tool runs anything concurrently: per file it parses, lints,
-// auto-detects the domain (real variables -> leia, rewards -> mdp, else
-// bi), solves, runs the checker, and — for programs whose main starts
-// with a planted assertion — spot-checks the verdict against a
-// Monte-Carlo estimate of the ground truth (checks/Fuzz.h). Verdicts merge
+// tool runs anything concurrently: per file it parses and lints against
+// the auto-detected domain (driver/Domains.h), solves (LEIA on zones),
+// runs the checker, and — for programs whose main starts with a planted
+// assertion — spot-checks the verdict against a Monte-Carlo estimate of
+// the ground truth (checks/Fuzz.h). Verdicts merge
 // in file-name order into one ChecksDb whose JSON summary goes to --out or
 // stdout, so the output does not depend on --jobs; any parse failure or
 // soundness violation exits 1. `pmaf gen-corpus` writes such a corpus of
 // random programs with planted assertions (deterministic in --seed).
 // Elsewhere --jobs only draws an [option-ignored] warning.
+//
+// Every mode takes its per-domain decisions from driver/Pipeline.h, as
+// pmafd does; --domain must name an entry of its table (else exit 2).
 //
 // Exit codes: 0 analysis converged; 1 lint/parse errors or failed checks;
 // 2 usage errors; 3 the update budget (--max-updates) ran out before the
@@ -70,19 +73,13 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Lint.h"
-#include "cfg/HyperGraph.h"
-#include "checks/Checker.h"
 #include "checks/Fuzz.h"
 #include "core/Instrumentation.h"
 #include "core/Schedule.h"
 #include "core/Solver.h"
-#include "domains/BiDomain.h"
-#include "domains/LeiaDomain.h"
-#include "domains/MdpDomain.h"
-#include "lang/Parser.h"
-#include "lang/PosNegDecompose.h"
+#include "driver/Pipeline.h"
 #include "server/Daemon.h"
+#include "server/Protocol.h"
 #include "support/NumParse.h"
 #include "support/ThreadPool.h"
 
@@ -91,7 +88,6 @@
 #include "RandomProgramGen.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -107,71 +103,9 @@
 
 using namespace pmaf;
 using namespace pmaf::core;
-using namespace pmaf::domains;
+using support::parseFlag;
 
 namespace {
-
-/// Termination-probability lower bounds (demonic): the custom-domain
-/// example promoted into the tool.
-class TerminationDomain {
-public:
-  using Value = double;
-  Value bottom() const { return 0.0; }
-  Value one() const { return 1.0; }
-  Value extend(const Value &A, const Value &B) const { return A * B; }
-  Value condChoice(const lang::Cond &, const Value &A,
-                   const Value &B) const {
-    return std::min(A, B);
-  }
-  Value probChoice(const Rational &P, const Value &A, const Value &B) const {
-    double Prob = P.toDouble();
-    return Prob * A + (1.0 - Prob) * B;
-  }
-  Value ndetChoice(const Value &A, const Value &B) const {
-    return std::min(A, B);
-  }
-  Value interpret(const lang::Stmt *Act) const {
-    return Act && Act->kind() == lang::Stmt::Kind::Observe ? 0.0 : 1.0;
-  }
-  bool leq(const Value &A, const Value &B) const { return A <= B + 1e-12; }
-  bool equal(const Value &A, const Value &B) const {
-    return std::fabs(A - B) <= 1e-12;
-  }
-  Value widenCond(const Value &, const Value &New) const { return New; }
-  Value widenProb(const Value &, const Value &New) const { return New; }
-  Value widenNdet(const Value &, const Value &New) const { return New; }
-  Value widenCall(const Value &, const Value &New) const { return New; }
-  std::string toString(const Value &A) const { return std::to_string(A); }
-};
-
-/// Strict parse of one numeric flag payload; on failure prints the
-/// structured diagnostic (stable code `invalid-flag-value`) and returns
-/// nullopt — the caller exits 2, the usage-error code: `--jobs=abc`,
-/// `--jobs=-2`, and `--max-updates=1e9` are hard usage errors.
-std::optional<uint64_t> parseFlagUnsigned(const char *Flag,
-                                          const std::string &Value) {
-  std::optional<uint64_t> Parsed = support::parseUnsigned(Value);
-  if (!Parsed)
-    std::fprintf(stderr,
-                 "error: %s expects an unsigned integer, got '%s' "
-                 "[invalid-flag-value]\n",
-                 Flag, Value.c_str());
-  return Parsed;
-}
-
-std::optional<unsigned> parseFlagUnsigned32(const char *Flag,
-                                            const std::string &Value) {
-  std::optional<uint64_t> Parsed = parseFlagUnsigned(Flag, Value);
-  if (!Parsed)
-    return std::nullopt;
-  if (*Parsed > 0xffffffffull) {
-    std::fprintf(stderr,
-                 "error: %s value %s is out of range [invalid-flag-value]\n",
-                 Flag, Value.c_str());
-    return std::nullopt;
-  }
-  return static_cast<unsigned>(*Parsed);
-}
 
 int usage(const char *Argv0) {
   std::fprintf(stderr,
@@ -194,14 +128,16 @@ int usage(const char *Argv0) {
   return 2;
 }
 
-/// Solver knobs shared by every domain path; each path layers them over
-/// its own preset (e.g. BI disables widening).
-struct CliSolverConfig {
+/// The flags of one `pmaf <file>` run. The solver knobs overlay the
+/// preset of the domain's box.
+struct AnalyzeConfig {
   std::optional<IterationStrategy> Strategy;
   std::optional<unsigned> WideningDelay;
   std::optional<uint64_t> MaxUpdates;
   std::optional<NumericBackend> Numeric;
   bool Stats = false;
+  bool Werror = false;
+  bool Json = false;
 
   void apply(SolverOptions &Opts) const {
     if (Strategy)
@@ -214,97 +150,60 @@ struct CliSolverConfig {
       Opts.Numeric = *Numeric;
   }
 
-  void printReport(const SolverInstrumentation &Counters,
-                   const SolverOptions &Opts,
-                   const core::SolverStats &SolveStats) const {
-    if (!Stats)
-      return;
-    std::printf("; strategy: %s, widening delay %u, max updates %llu, "
-                "numeric %s\n",
-                core::toString(Opts.Strategy), Opts.WideningDelay,
-                static_cast<unsigned long long>(Opts.MaxUpdates),
-                core::toString(Opts.Numeric));
-    if (!SolveStats.Converged)
-      std::printf("; NOT CONVERGED: update budget exhausted after %llu "
-                  "updates\n",
-                  static_cast<unsigned long long>(SolveStats.NodeUpdates));
-    std::printf("%s", Counters.report().c_str());
-  }
-
-  /// Prints the report and maps the solve outcome to the process exit
-  /// code: 0 for a converged fixpoint, 3 (with a stderr warning) when the
-  /// update budget ran out and the printed values are only a
-  /// mid-iteration snapshot.
-  int finish(const SolverInstrumentation &Counters,
+  /// Prints one solve's check verdicts, its --stats report, and a warning
+  /// when the update budget ran out (the printed values are then only a
+  /// mid-iteration snapshot); returns the exit code.
+  int finish(const checks::ChecksDb &Db, const std::string &Path,
+             const std::string &Source, const SolverInstrumentation &Counters,
              const SolverOptions &Opts,
              const core::SolverStats &SolveStats) const {
-    printReport(Counters, Opts, SolveStats);
-    if (SolveStats.Converged)
-      return 0;
-    std::fprintf(stderr,
-                 "warning: analysis did not converge: the update budget "
-                 "(--max-updates=%llu) was exhausted; the reported values "
-                 "are not a post-fixpoint\n",
-                 static_cast<unsigned long long>(Opts.MaxUpdates));
-    return 3;
+    DiagnosticEngine Diags;
+    Diags.setSource(Path, Source);
+    Diags.setWarningsAsErrors(Werror);
+    const int Exit = driver::checkOutcome(Db, SolveStats.Converged, Diags);
+    if (Db.total() != 0) {
+      if (Json) {
+        // Match the lint path: machine-readable diagnostics go to stderr
+        // so stdout stays the (parseable-by-humans) analysis report.
+        std::fprintf(stderr, "%s\n", Diags.renderJson().c_str());
+      } else {
+        std::printf("%s", Diags.renderAll().c_str());
+        std::printf("checks: %s\n", Db.summary().c_str());
+      }
+    }
+    if (Stats) {
+      std::printf("; strategy: %s, widening delay %u, max updates %llu, "
+                  "numeric %s\n",
+                  core::toString(Opts.Strategy), Opts.WideningDelay,
+                  static_cast<unsigned long long>(Opts.MaxUpdates),
+                  core::toString(Opts.Numeric));
+      if (!SolveStats.Converged)
+        std::printf("; NOT CONVERGED: update budget exhausted after %llu "
+                    "updates\n",
+                    static_cast<unsigned long long>(SolveStats.NodeUpdates));
+      std::printf("%s", Counters.report().c_str());
+    }
+    if (!SolveStats.Converged)
+      std::fprintf(stderr,
+                   "warning: analysis did not converge: the update budget "
+                   "(--max-updates=%llu) was exhausted; the reported values "
+                   "are not a post-fixpoint\n",
+                   static_cast<unsigned long long>(Opts.MaxUpdates));
+    return Exit;
   }
 };
 
-analysis::TargetDomain domainFromName(const std::string &Name) {
-  if (Name == "leia")
-    return analysis::TargetDomain::Leia;
-  if (Name == "bi")
-    return analysis::TargetDomain::Bi;
-  if (Name == "mdp")
-    return analysis::TargetDomain::Mdp;
-  if (Name == "termination")
-    return analysis::TargetDomain::Termination;
-  return analysis::TargetDomain::None;
-}
-
 bool readSource(const std::string &Path, std::string &Source) {
-  if (Path == "-") {
-    std::ostringstream Buffer;
-    Buffer << std::cin.rdbuf();
-    Source = Buffer.str();
-    return true;
+  std::ifstream File;
+  if (Path != "-") {
+    File.open(Path);
+    if (!File)
+      return false;
   }
-  std::ifstream In(Path);
-  if (!In)
-    return false;
   std::ostringstream Buffer;
-  Buffer << In.rdbuf();
+  Buffer << (Path == "-" ? std::cin.rdbuf() : File.rdbuf());
   Source = Buffer.str();
   return true;
-}
-
-/// Parse + decompose + lint one source into \p Diags. \returns the linted
-/// program, or null when parsing or decomposition failed (the failure has
-/// been reported into \p Diags).
-std::unique_ptr<lang::Program>
-parseAndLint(const std::string &Path, const std::string &Source,
-             DiagnosticEngine &Diags, const std::string &DomainName,
-             bool Decompose) {
-  Diags.setSource(Path, Source);
-  lang::ParseResult Parsed = lang::parseProgram(Source, Diags);
-  if (!Parsed)
-    return nullptr;
-  std::unique_ptr<lang::Program> Prog = std::move(Parsed.Prog);
-  if (Decompose) {
-    lang::DecomposeResult D = lang::decomposePosNeg(*Prog);
-    if (!D) {
-      Diags.report(Severity::Error, {}, "decompose-error",
-                   "cannot decompose: " + D.Error);
-      return nullptr;
-    }
-    Prog = std::move(D.Prog);
-  }
-  analysis::LintOptions Opts;
-  Opts.Domain = domainFromName(DomainName);
-  Opts.Decomposed = Decompose;
-  analysis::lintProgram(*Prog, Diags, Opts);
-  Diags.sortByLocation();
-  return Prog;
 }
 
 /// `pmaf check`: lint-only over any number of files; diagnostics go to
@@ -326,7 +225,9 @@ int runCheck(const std::vector<std::string> &Files,
     }
     DiagnosticEngine Diags;
     Diags.setWarningsAsErrors(Werror);
-    parseAndLint(Path, Source, Diags, DomainName, Decompose);
+    Diags.setSource(Path, Source);
+    driver::frontEnd(Source, Diags, DomainName, Decompose);
+    Diags.sortByLocation();
     if (Json)
       std::printf("%s\n", Diags.renderJson().c_str());
     else
@@ -338,66 +239,8 @@ int runCheck(const std::vector<std::string> &Files,
 }
 
 //===----------------------------------------------------------------------===//
-// The checker layer
-//===----------------------------------------------------------------------===//
-
-/// Reports check verdicts as diagnostics on stdout plus a one-line
-/// summary. \returns 1 when the verdicts fail the run (any violated
-/// assertion, or unproved/skipped ones under --werror), 0 otherwise.
-int reportCheckResults(const checks::ChecksDb &Db, const std::string &Path,
-                       const std::string &Source, bool Werror, bool Json) {
-  if (Db.total() == 0)
-    return 0;
-  DiagnosticEngine Diags;
-  Diags.setSource(Path, Source);
-  Diags.setWarningsAsErrors(Werror);
-  checks::reportChecks(Db, Diags);
-  Diags.sortByLocation();
-  if (Json) {
-    // Match the lint path: machine-readable diagnostics go to stderr so
-    // stdout stays the (parseable-by-humans) analysis report.
-    std::fprintf(stderr, "%s\n", Diags.renderJson().c_str());
-  } else {
-    std::printf("%s", Diags.renderAll().c_str());
-    std::printf("checks: %s\n", Db.summary().c_str());
-  }
-  return Diags.hasErrors() ? 1 : 0;
-}
-
-//===----------------------------------------------------------------------===//
 // verify-corpus / gen-corpus
 //===----------------------------------------------------------------------===//
-
-bool stmtContainsKind(const lang::Stmt &S, lang::Stmt::Kind K) {
-  if (S.kind() == K)
-    return true;
-  switch (S.kind()) {
-  case lang::Stmt::Kind::Block:
-    for (const lang::Stmt::Ptr &Child : S.stmts())
-      if (stmtContainsKind(*Child, K))
-        return true;
-    return false;
-  case lang::Stmt::Kind::If:
-    return stmtContainsKind(S.thenStmt(), K) ||
-           (S.elseStmt() && stmtContainsKind(*S.elseStmt(), K));
-  case lang::Stmt::Kind::While:
-    return stmtContainsKind(S.body(), K);
-  default:
-    return false;
-  }
-}
-
-/// Domain auto-detection for corpus files: real variables -> leia, reward
-/// statements or reward assertions -> mdp, else bi.
-std::string detectDomain(const lang::Program &Prog) {
-  for (const lang::VarInfo &V : Prog.Vars)
-    if (V.IsReal)
-      return "leia";
-  for (const lang::Procedure &P : Prog.Procs)
-    if (P.Body && stmtContainsKind(*P.Body, lang::Stmt::Kind::Reward))
-      return "mdp";
-  return "bi";
-}
 
 /// The planted assertion of a fuzz-shaped program: the first statement of
 /// main when it is an assert, else null (the soundness spot-check only
@@ -413,24 +256,6 @@ const lang::Stmt *plantedAssertion(const lang::Program &Prog) {
   while (Body->kind() == lang::Stmt::Kind::Block && !Body->stmts().empty())
     Body = Body->stmts().front().get();
   return Body->kind() == lang::Stmt::Kind::Assert ? Body : nullptr;
-}
-
-/// Sampling tolerance for the soundness oracle: a few standard errors at
-/// the scale of the asserted quantity, plus a floor for float drift.
-double soundnessTol(const lang::Stmt &A, unsigned Runs) {
-  double Base = 4.0 / std::sqrt(static_cast<double>(Runs ? Runs : 1));
-  switch (A.assertKind()) {
-  case lang::AssertKind::Prob:
-    return 0.5 * Base + 0.01;
-  case lang::AssertKind::Reward:
-    return Base * (1.0 + std::fabs(A.assertBound().toDouble())) + 0.05;
-  case lang::AssertKind::Interval: {
-    double Scale = std::max(std::fabs(A.assertLo().toDouble()),
-                            std::fabs(A.assertHi().toDouble()));
-    return Base * (1.0 + Scale) + 0.05;
-  }
-  }
-  return 0.05;
 }
 
 struct CorpusOptions {
@@ -455,93 +280,58 @@ CorpusFileOutcome processCorpusFile(const std::string &Path,
                                     const CorpusOptions &Opts,
                                     uint64_t FileSeed) {
   CorpusFileOutcome Out;
-  std::string Source;
-  if (!readSource(Path, Source)) {
+  const auto Fail = [&Out](std::string Error) {
     Out.Ok = false;
-    Out.Error = "cannot open file";
+    Out.Error = std::move(Error);
     return Out;
-  }
+  };
+  std::string Source;
+  if (!readSource(Path, Source))
+    return Fail("cannot open file");
   DiagnosticEngine Diags;
   Diags.setSource(Path, Source);
-  lang::ParseResult Parsed = lang::parseProgram(Source, Diags);
-  if (!Parsed) {
-    Out.Ok = false;
-    Out.Error = "parse failed";
-    return Out;
-  }
-  std::unique_ptr<lang::Program> Prog = std::move(Parsed.Prog);
-  std::string Domain = detectDomain(*Prog);
-  analysis::LintOptions LOpts;
-  LOpts.Domain = domainFromName(Domain);
-  analysis::lintProgram(*Prog, Diags, LOpts);
-  if (Diags.hasErrors()) {
-    Out.Ok = false;
-    Out.Error = "lint errors (domain " + Domain + ")";
-    return Out;
-  }
-  if (Domain == "bi") {
-    unsigned Bools = 0;
-    for (const lang::VarInfo &V : Prog->Vars)
-      Bools += V.IsReal ? 0 : 1;
-    if (Bools > 16) {
-      Out.Ok = false;
-      Out.Error = "too many Boolean variables for the dense BI domain";
-      return Out;
-    }
-  }
+  driver::Parsed Front = driver::frontEnd(Source, Diags, "auto");
+  if (!Front.Prog)
+    return Fail("parse failed");
+  if (Diags.hasErrors())
+    return Fail("lint errors (domain " + std::string(Front.Domain->Name) +
+                ")");
+  const lang::Program &Prog = *Front.Prog;
 
-  cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
-  SolverInstrumentation Counters;
-  checks::CheckerOptions COpts;
-  if (Domain == "bi") {
-    BoolStateSpace Space(*Prog);
-    BiDomain Dom(Space);
-    SolverOptions SOpts;
-    SOpts.UseWidening = false;
-    SOpts.MaxUpdates = Opts.MaxUpdates;
-    auto Result = solve(Graph, Dom, SOpts, &Counters);
-    Out.Converged = Result.Stats.Converged;
-    COpts.Converged = Result.Stats.Converged;
-    Out.Db = checks::checkBiSummaries(
-        Space, Graph, [&](unsigned N) { return Result.Values[N]; }, COpts);
-  } else if (Domain == "mdp") {
-    MdpDomain Dom;
-    SolverOptions SOpts;
-    SOpts.WideningDelay = 10000;
-    SOpts.MaxUpdates = Opts.MaxUpdates;
-    auto Result = solve(Graph, Dom, SOpts, &Counters);
-    Out.Converged = Result.Stats.Converged;
-    COpts.Converged = Result.Stats.Converged;
-    Out.Db = checks::checkMdp(Graph, Result.Values, COpts);
-  } else {
-    // Zones, not the ladder: a rare random loop program can drive the
-    // ladder's polyhedra escalation into multi-minute joins, and corpus
-    // verification needs bounded per-file cost. Zones stays relational
-    // (it keeps the exit identity x' = x that boxes lose) at polynomial
-    // cost, and the checker verdict logic is backend-independent.
-    LeiaDomainT<poly::Zones> Dom(*Prog);
-    SolverOptions SOpts;
-    SOpts.MaxUpdates = Opts.MaxUpdates;
-    auto Result = solve(Graph, Dom, SOpts, &Counters);
-    Out.Converged = Result.Stats.Converged;
-    COpts.Converged = Result.Stats.Converged;
-    Out.Db = checks::checkLeia(Dom, Graph, Result.Values, COpts);
-  }
+  // LEIA runs on zones, not the default backend: a rare random loop
+  // program can drive the ladder's polyhedra escalation into multi-minute
+  // joins, and corpus verification needs bounded per-file cost. Zones
+  // stays relational (it keeps the exit identity x' = x that boxes lose)
+  // at polynomial cost, and the checker verdict logic is
+  // backend-independent.
+  cfg::ProgramGraph Graph = cfg::ProgramGraph::build(Prog);
+  driver::withBox(*Front.Domain, NumericBackend::Zones,
+                  [&]<typename Box>(std::type_identity<Box>) {
+                    Box B(Prog);
+                    SolverOptions SOpts;
+                    Box::preset(SOpts);
+                    SOpts.MaxUpdates = Opts.MaxUpdates;
+                    auto Result = solve(Graph, B.Dom, SOpts);
+                    Out.Converged = Result.Stats.Converged;
+                    checks::CheckerOptions COpts;
+                    COpts.Converged = Result.Stats.Converged;
+                    Out.Db = B.check(Graph, Result.Values, COpts);
+                  });
 
   // Soundness spot-check for fuzz-shaped programs. Checker records are in
   // collectAssertions order, so the planted assertion's verdict is at the
   // matching index.
-  const lang::Stmt *Planted = plantedAssertion(*Prog);
+  const lang::Stmt *Planted = plantedAssertion(Prog);
   if (Planted && Opts.Runs && Out.Converged) {
     auto Asserts = checks::collectAssertions(Graph);
     for (size_t I = 0; I != Asserts.size(); ++I) {
       if (Asserts[I].second != Planted)
         continue;
       checks::fuzz::GroundTruth GT = checks::fuzz::estimateGroundTruth(
-          *Prog, *Planted, FileSeed, Opts.Runs);
+          Prog, *Planted, FileSeed, Opts.Runs);
       Out.SoundnessViolation = checks::fuzz::soundnessViolation(
           *Planted, Out.Db.records()[I].TheVerdict, GT,
-          soundnessTol(*Planted, Opts.Runs));
+          checks::fuzz::soundnessTolerance(*Planted, Opts.Runs));
       break;
     }
   }
@@ -620,10 +410,7 @@ int runVerifyCorpus(const std::vector<std::string> &Paths,
   for (size_t I = 0; I != Violations.size(); ++I) {
     if (I)
       Json += ", ";
-    Json += "\"";
-    for (char C : Violations[I])
-      C == '"' || C == '\\' ? (Json += '\\', Json += C) : (Json += C);
-    Json += "\"";
+    server::appendJsonString(Json, Violations[I]);
   }
   Json += "], \"checks\": " + Global.toJson() + "}";
   if (!Opts.OutPath.empty()) {
@@ -730,27 +517,34 @@ int main(int argc, char **argv) {
   std::vector<std::string> Paths;
   std::string Domain = "leia";
   bool DomainExplicit = false;
-  bool Decompose = false, EmitDot = false, Werror = false, Json = false;
+  bool Decompose = false, EmitDot = false;
   uint64_t Seed = 1;
   unsigned Count = 100, Runs = 2000;
   uint16_t Port = 0;
   std::string OutPath, Family = "mixed";
   std::optional<unsigned> Jobs;
-  CliSolverConfig Config;
+  AnalyzeConfig Config;
   for (int I = (CheckMode || CorpusMode || GenMode || ServeMode) ? 2 : 1;
        I < argc; ++I) {
     std::string Arg = argv[I];
     if (Arg.rfind("--domain=", 0) == 0) {
       Domain = Arg.substr(9);
       DomainExplicit = true;
+      if (!driver::findDomain(Domain)) {
+        std::fprintf(stderr,
+                     "error: unknown domain '%s' (expected %s) "
+                     "[unknown-domain]\n",
+                     Domain.c_str(), driver::domainNames().c_str());
+        return 2;
+      }
     } else if (Arg == "--decompose")
       Decompose = true;
     else if (Arg == "--werror")
-      Werror = true;
+      Config.Werror = true;
     else if (Arg.rfind("--diag-format=", 0) == 0) {
       std::string Format = Arg.substr(14);
       if (Format == "json")
-        Json = true;
+        Config.Json = true;
       else if (Format != "text")
         return usage(argv[0]);
     } else if (Arg == "--dot")
@@ -772,45 +566,26 @@ int main(int argc, char **argv) {
         return usage(argv[0]);
       }
     } else if (Arg.rfind("--widening-delay=", 0) == 0) {
-      auto V = parseFlagUnsigned32("--widening-delay", Arg.substr(17));
-      if (!V)
+      if (!parseFlag(Arg, "--widening-delay", Config.WideningDelay.emplace()))
         return 2;
-      Config.WideningDelay = *V;
     } else if (Arg.rfind("--max-updates=", 0) == 0) {
-      auto V = parseFlagUnsigned("--max-updates", Arg.substr(14));
-      if (!V)
+      if (!parseFlag(Arg, "--max-updates", Config.MaxUpdates.emplace()))
         return 2;
-      Config.MaxUpdates = *V;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      Jobs = parseFlagUnsigned32("--jobs", Arg.substr(7));
-      if (!Jobs)
+      if (!parseFlag(Arg, "--jobs", Jobs.emplace()))
         return 2;
     } else if (Arg.rfind("--seed=", 0) == 0) {
-      auto V = parseFlagUnsigned("--seed", Arg.substr(7));
-      if (!V)
+      if (!parseFlag(Arg, "--seed", Seed))
         return 2;
-      Seed = *V;
     } else if (Arg.rfind("--runs=", 0) == 0) {
-      auto V = parseFlagUnsigned32("--runs", Arg.substr(7));
-      if (!V)
+      if (!parseFlag(Arg, "--runs", Runs))
         return 2;
-      Runs = *V;
     } else if (Arg.rfind("--count=", 0) == 0) {
-      auto V = parseFlagUnsigned32("--count", Arg.substr(8));
-      if (!V)
+      if (!parseFlag(Arg, "--count", Count))
         return 2;
-      Count = *V;
     } else if (Arg.rfind("--port=", 0) == 0) {
-      auto V = parseFlagUnsigned32("--port", Arg.substr(7));
-      if (!V)
+      if (!parseFlag(Arg, "--port", Port))
         return 2;
-      if (*V > 65535) {
-        std::fprintf(stderr, "error: --port value %u is out of range "
-                             "[invalid-flag-value]\n",
-                     *V);
-        return 2;
-      }
-      Port = static_cast<uint16_t>(*V);
     } else if (Arg.rfind("--out=", 0) == 0)
       OutPath = Arg.substr(6);
     else if (Arg.rfind("--family=", 0) == 0) {
@@ -831,7 +606,7 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "warning: %s [option-ignored]\n", JobsIgnored);
   if (CheckMode)
     return runCheck(Paths, DomainExplicit ? Domain : std::string(),
-                    Decompose, Werror, Json);
+                    Decompose, Config.Werror, Config.Json);
   if (CorpusMode) {
     CorpusOptions COpts;
     if (Jobs)
@@ -841,7 +616,7 @@ int main(int argc, char **argv) {
     if (Config.MaxUpdates)
       COpts.MaxUpdates = *Config.MaxUpdates;
     COpts.OutPath = OutPath;
-    COpts.Werror = Werror;
+    COpts.Werror = Config.Werror;
     return runVerifyCorpus(Paths, COpts);
   }
   if (GenMode) {
@@ -870,7 +645,7 @@ int main(int argc, char **argv) {
   // Pre-analysis lint: warnings are advisory, errors (parse failures,
   // type errors, domain-precondition violations) stop the analysis.
   DiagnosticEngine Diags;
-  Diags.setWarningsAsErrors(Werror);
+  Diags.setWarningsAsErrors(Config.Werror);
   // Flags that only affect the LEIA path are diagnosed, not silently
   // dropped, when another domain was selected.
   if (Config.Numeric && Domain != "leia")
@@ -885,126 +660,37 @@ int main(int argc, char **argv) {
                      Domain + " it does not change the analysis");
   if (Jobs)
     Diags.report(Severity::Warning, {}, "option-ignored", JobsIgnored);
-  std::unique_ptr<lang::Program> Prog =
-      parseAndLint(Path, Source, Diags, Domain, Decompose);
+  Diags.setSource(Path, Source);
+  driver::Parsed Front = driver::frontEnd(Source, Diags, Domain, Decompose);
+  Diags.sortByLocation();
   if (!Diags.empty()) {
-    if (Json)
+    if (Config.Json)
       std::fprintf(stderr, "%s\n", Diags.renderJson().c_str());
     else
       std::fprintf(stderr, "%s", Diags.renderAll().c_str());
   }
-  if (!Prog || Diags.hasErrors())
+  if (!Front.Prog || Diags.hasErrors())
     return 1;
+  const lang::Program &Prog = *Front.Prog;
 
-  cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
+  cfg::ProgramGraph Graph = cfg::ProgramGraph::build(Prog);
   if (EmitDot)
     std::printf("%s", Graph.toDot().c_str());
 
-  SolverInstrumentation Counters;
-  if (Domain == "leia") {
-    SolverOptions Opts;
-    Config.apply(Opts);
-    // The backend is a template parameter of the domain; dispatch the
-    // whole leia path on the runtime choice once, here.
-    auto RunLeia = [&]<typename NumV>(std::type_identity<NumV>) -> int {
-      LeiaDomainT<NumV> Dom(*Prog);
-      auto Result = solve(Graph, Dom, Opts, &Counters);
-      for (unsigned P = 0; P != Graph.numProcs(); ++P) {
-        std::printf("%s():\n", Prog->Procs[P].Name.c_str());
-        auto Invariants =
-            Dom.describeInvariants(Result.Values[Graph.proc(P).Entry]);
-        if (Invariants.empty())
-          std::printf("  (no expectation invariants)\n");
-        for (const std::string &Inv : Invariants)
-          std::printf("  %s\n", Inv.c_str());
-      }
-      checks::CheckerOptions COpts;
-      COpts.Converged = Result.Stats.Converged;
-      int CheckExit = reportCheckResults(
-          checks::checkLeia(Dom, Graph, Result.Values, COpts), Path, Source,
-          Werror, Json);
-      int Exit = Config.finish(Counters, Opts, Result.Stats);
-      return CheckExit ? CheckExit : Exit;
-    };
-    switch (Opts.Numeric) {
-    case NumericBackend::Poly:
-      return RunLeia(std::type_identity<poly::Polyhedron>{});
-    case NumericBackend::Ladder:
-      return RunLeia(std::type_identity<poly::LadderValue>{});
-    case NumericBackend::Zones:
-      return RunLeia(std::type_identity<poly::Zones>{});
-    case NumericBackend::Intervals:
-      return RunLeia(std::type_identity<poly::Intervals>{});
-    }
-    return 2;
-  }
-  if (Domain == "bi") {
-    BoolStateSpace Space(*Prog);
-    BiDomain Dom(Space);
-    SolverOptions Opts;
-    Opts.UseWidening = false;
-    Config.apply(Opts);
-    auto Result = solve(Graph, Dom, Opts, &Counters);
-    std::vector<double> Prior(Space.numStates(), 0.0);
-    Prior[0] = 1.0;
-    for (unsigned P = 0; P != Graph.numProcs(); ++P) {
-      std::printf("%s(): posterior from the all-false prior\n",
-                  Prog->Procs[P].Name.c_str());
-      std::vector<double> Post = Dom.posterior(
-          Result.Values[Graph.proc(P).Entry], Prior);
-      double Mass = 0.0;
-      for (size_t S = 0; S != Post.size(); ++S) {
-        Mass += Post[S];
-        if (Post[S] > 1e-12)
-          std::printf("  %-30s %.6f\n",
-                      Space.stateToString(S).c_str(), Post[S]);
-      }
-      std::printf("  terminating mass: %.6f\n", Mass);
-    }
-    checks::CheckerOptions COpts;
-    COpts.Converged = Result.Stats.Converged;
-    int CheckExit = reportCheckResults(
-        checks::checkBiSummaries(
-            Space, Graph, [&](unsigned N) { return Result.Values[N]; },
-            COpts),
-        Path, Source, Werror, Json);
-    int Exit = Config.finish(Counters, Opts, Result.Stats);
-    return CheckExit ? CheckExit : Exit;
-  }
-  if (Domain == "mdp") {
-    MdpDomain Dom;
-    SolverOptions Opts;
-    Opts.WideningDelay = 10000;
-    Config.apply(Opts);
-    auto Result = solve(Graph, Dom, Opts, &Counters);
-    for (unsigned P = 0; P != Graph.numProcs(); ++P)
-      std::printf("%s(): greatest expected reward = %g\n",
-                  Prog->Procs[P].Name.c_str(),
-                  Result.Values[Graph.proc(P).Entry]);
-    checks::CheckerOptions COpts;
-    COpts.Converged = Result.Stats.Converged;
-    int CheckExit = reportCheckResults(
-        checks::checkMdp(Graph, Result.Values, COpts), Path, Source, Werror,
-        Json);
-    int Exit = Config.finish(Counters, Opts, Result.Stats);
-    return CheckExit ? CheckExit : Exit;
-  }
-  if (Domain == "termination") {
-    TerminationDomain Dom;
-    SolverOptions Opts;
-    Config.apply(Opts);
-    auto Result = solve(Graph, Dom, Opts, &Counters);
-    for (unsigned P = 0; P != Graph.numProcs(); ++P)
-      std::printf("%s(): P[termination] >= %.6f\n",
-                  Prog->Procs[P].Name.c_str(),
-                  Result.Values[Graph.proc(P).Entry]);
-    int CheckExit = reportCheckResults(
-        checks::skipAllChecks(Graph, "the termination analysis has no "
-                                     "assertion checker"),
-        Path, Source, Werror, Json);
-    int Exit = Config.finish(Counters, Opts, Result.Stats);
-    return CheckExit ? CheckExit : Exit;
-  }
-  std::fprintf(stderr, "error: unknown domain %s\n", Domain.c_str());
-  return usage(argv[0]);
+  return driver::withBox(
+      *Front.Domain, Config.Numeric.value_or(driver::defaultNumeric()),
+      [&]<typename Box>(std::type_identity<Box>) {
+        Box B(Prog);
+        SolverOptions Opts;
+        Box::preset(Opts);
+        Config.apply(Opts);
+        SolverInstrumentation Counters;
+        auto Result = solve(Graph, B.Dom, Opts, &Counters);
+        std::printf("%s",
+                    driver::render(B, Prog, Graph, Result.Values).c_str());
+        checks::CheckerOptions COpts;
+        COpts.Converged = Result.Stats.Converged;
+        return Config.finish(B.check(Graph, Result.Values, COpts), Path,
+                             Source, Counters, Opts, Result.Stats);
+      });
 }

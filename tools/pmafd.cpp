@@ -22,8 +22,6 @@
 #include "support/NumParse.h"
 
 #include <cstdio>
-#include <cstring>
-#include <optional>
 #include <string>
 
 using namespace pmaf;
@@ -39,17 +37,6 @@ int usage(const char *Argv0) {
   return 2;
 }
 
-std::optional<uint64_t> parseFlagUnsigned(const char *Flag,
-                                          const std::string &Value) {
-  std::optional<uint64_t> Parsed = support::parseUnsigned(Value);
-  if (!Parsed)
-    std::fprintf(stderr,
-                 "error: %s expects an unsigned integer, got '%s' "
-                 "[invalid-flag-value]\n",
-                 Flag, Value.c_str());
-  return Parsed;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -57,18 +44,8 @@ int main(int argc, char **argv) {
   for (int I = 1; I != argc; ++I) {
     const std::string Arg = argv[I];
     if (Arg.rfind("--port=", 0) == 0) {
-      std::optional<uint64_t> Port =
-          parseFlagUnsigned("--port", Arg.substr(7));
-      if (!Port)
+      if (!support::parseFlag(Arg, "--port", Opts.Port))
         return 2;
-      if (*Port > 65535) {
-        std::fprintf(stderr,
-                     "error: --port expects a value in [0, 65535], got %llu "
-                     "[invalid-flag-value]\n",
-                     static_cast<unsigned long long>(*Port));
-        return 2;
-      }
-      Opts.Port = static_cast<uint16_t>(*Port);
     } else if (Arg == "--help" || Arg == "-h") {
       usage(argv[0]);
       return 0;
