@@ -47,9 +47,8 @@ struct Wto {
                      const std::vector<unsigned> &Roots);
 
   /// Positions[v] is v's index in the left-to-right linearization of the
-  /// order (components flattened in place). Priority key for worklist
-  /// iteration: processing dirty nodes in ascending position reproduces
-  /// the stabilization discipline of the recursive strategy.
+  /// order (components flattened in place): the solver's worklist
+  /// re-evaluates dirty nodes in ascending position.
   std::vector<unsigned> positions() const;
 
   /// Renders e.g. "0 1 (2 3 (4 5)) 6" with components parenthesized.

@@ -24,11 +24,12 @@
 ///    later layer walks the AST.
 ///  * **Dependents.** The dependence graph of Eqn 2 as successor lists
 ///    (dependents(u) = nodes whose right-hand side reads u), precomputed
-///    from cfg::HyperGraph for the worklist scheduler and for the WTO.
+///    from cfg::HyperGraph for the solver's worklist and for the WTO.
 ///  * **Iteration order.** The WTO of the dependence graph rooted at the
-///    procedure exits, with the widening-operator kind per widening point
-///    derived from it (the kinds of the component's guard edges, under
-///    the precedence ndet ▷ prob ▷ cond — see wideningKinds()).
+///    procedure exits and its linearization (the worklist's priority),
+///    with the widening-operator kind per widening point derived from it
+///    (the kinds of the component's guard edges, under the precedence
+///    ndet ▷ prob ▷ cond — see wideningKinds()).
 ///
 /// A CompiledProgram may be reused across repeated solve() calls over the
 /// same domain instance (the transformer cache then persists, which is
@@ -42,7 +43,6 @@
 #include "cfg/HyperGraph.h"
 #include "cfg/Wto.h"
 #include "core/Domain.h"
-#include "core/Instrumentation.h"
 
 #include <cassert>
 #include <cstdint>
@@ -58,10 +58,8 @@ template <PreMarkovAlgebra D> class CompiledProgram {
 public:
   using Value = typename D::Value;
 
-  CompiledProgram(const cfg::ProgramGraph &Graph, D &Dom,
-                  SolverObserver *Observer = nullptr)
-      : Graph(Graph), Dom(Dom), Observer(Observer),
-        Dependents(Graph.dependenceSuccessors()),
+  CompiledProgram(const cfg::ProgramGraph &Graph, D &Dom)
+      : Graph(Graph), Dom(Dom), Dependents(Graph.dependenceSuccessors()),
         Transformers(Graph.edges().size()) {
     // Iteration order: WTO of the dependence graph, rooted at the exits
     // so that values flow leaf-to-root (§2.3). Invariant across solves.
@@ -69,15 +67,15 @@ public:
     for (unsigned P = 0; P != Graph.numProcs(); ++P)
       Roots.push_back(Graph.proc(P).Exit);
     Order = cfg::Wto::compute(Dependents, Roots);
+    Positions = Order.positions();
+    NodesInOrder.resize(Positions.size());
+    for (unsigned V = 0; V != Positions.size(); ++V)
+      NodesInOrder[Positions[V]] = V;
     computeWideningKinds();
   }
 
   const cfg::ProgramGraph &graph() const { return Graph; }
   D &domain() { return Dom; }
-
-  /// Redirects event reporting (nullptr silences it). The solver facade
-  /// points this at the observer of the current solve.
-  void setObserver(SolverObserver *NewObserver) { Observer = NewObserver; }
 
   /// Dependence successors (Eqn 2): dependents()[u] lists the nodes whose
   /// inequality right-hand side mentions S(u).
@@ -88,6 +86,11 @@ public:
   /// The WTO every solve over this program iterates by (§4.4): computed
   /// over the dependence graph, rooted at the procedure exits.
   const cfg::Wto &wto() const { return Order; }
+
+  /// wtoPositions()[v] is v's index in the WTO's linearization
+  /// (cfg::Wto::positions); wtoNodes() is the inverse permutation.
+  const std::vector<unsigned> &wtoPositions() const { return Positions; }
+  const std::vector<unsigned> &wtoNodes() const { return NodesInOrder; }
 
   /// The widening-operator kind per node: for a widening point, the
   /// control-action kind that selects the operator at `old ∇ new`. A
@@ -122,8 +125,6 @@ public:
       Slot.emplace(Dom.interpret(Graph.edges()[EdgeIndex].Ctrl.DataAction));
     }
     ++(Hit ? InterpretCacheHitCount : InterpretCallCount);
-    if (Observer)
-      Observer->onInterpret(EdgeIndex, Hit);
     return *Slot;
   }
 
@@ -277,10 +278,11 @@ private:
 
   const cfg::ProgramGraph &Graph;
   D &Dom;
-  SolverObserver *Observer = nullptr;
   std::vector<std::vector<unsigned>> Dependents;
   std::vector<std::optional<Value>> Transformers;
   cfg::Wto Order;
+  std::vector<unsigned> Positions;
+  std::vector<unsigned> NodesInOrder;
   std::vector<cfg::ControlAction::Kind> WideningKinds;
   uint64_t InterpretCallCount = 0;
   uint64_t InterpretCacheHitCount = 0;

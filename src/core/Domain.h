@@ -36,11 +36,11 @@
 #ifndef PMAF_CORE_DOMAIN_H
 #define PMAF_CORE_DOMAIN_H
 
-#include "core/Instrumentation.h"
 #include "lang/Ast.h"
 #include "support/Rational.h"
 
 #include <concepts>
+#include <cstdint>
 #include <string>
 
 namespace pmaf {
@@ -68,10 +68,36 @@ concept PreMarkovAlgebra = requires(
   { Dom.toString(A) } -> std::same_as<std::string>;
 };
 
+/// Counters of the numeric-domain layer under an abstract domain built on
+/// the poly backends (Polyhedron, Zones, Intervals, LadderValue). Solvers
+/// over domains that report them (ReportsNumericStats below) deliver
+/// per-solve deltas of the monotone counters and current high-water marks
+/// for the peaks.
+struct NumericLayerStats {
+  /// Chernikova (double-description) minimization passes — the
+  /// conversion cost the ladder exists to avoid.
+  uint64_t MinimizationCalls = 0;
+  /// Constraint⇄generator conversion memo traffic inside Polyhedron.
+  uint64_t ConversionCacheHits = 0;
+  uint64_t ConversionCacheMisses = 0;
+  /// The subset of ConversionCacheHits served by the process-wide sharded
+  /// L2 (the thread-local L1 missed: conversions another thread, or an
+  /// earlier solve on a since-finished thread, already paid for).
+  uint64_t SharedCacheHits = 0;
+  /// Memo entries the bounded caches dropped at their caps.
+  uint64_t CacheEvictions = 0;
+  /// Times a ladder block climbed a rung (box → zone → poly).
+  uint64_t Escalations = 0;
+  /// Widest intermediate generator matrix any minimization built.
+  unsigned PeakGeneratorRows = 0;
+  /// Widest variable pack a ladder operation coupled.
+  unsigned MaxPackWidth = 0;
+};
+
 /// Opt-in reporting of numeric-layer counters: a domain built on the
 /// poly backends may expose the process-wide conversion/escalation
 /// counters (poly::numericCounters) as a snapshot, and the solver then
-/// attributes per-solve deltas to SolverStats and the observer stream.
+/// attributes per-solve deltas to SolverStats.
 /// The method is static — the counters are a property of the numeric
 /// layer, not of one domain instance.
 template <typename D>

@@ -16,24 +16,21 @@
 ///   S(v) ⊒ S(entry_i) ⊗ S(u1)          (call[i] edge <v,u1>)
 ///   S(v) ⊒ 1                           (v an exit node)
 ///
-/// by chaotic iteration. solve() is a thin facade over the three layers of
-/// the analysis engine:
+/// by chaotic iteration over the program compiled in core/CompiledProgram.h
+/// (cached `seq`-edge transformers — one Dom.interpret per edge —
+/// right-hand-side evaluation, the dependence structure and the WTO).
 ///
-///   * core/CompiledProgram.h — the invariant per-analysis artifact:
-///     cached `seq`-edge transformers (one Dom.interpret per edge),
-///     right-hand-side evaluation, dependence structure;
-///   * core/Schedule.h — pluggable iteration strategies (WTO-recursive,
-///     round-robin, dependency-driven worklist) behind a domain-free
-///     Scheduler interface;
-///   * core/Instrumentation.h — passive observers of solver events.
-///
-/// The facade itself owns what is neither program structure nor iteration
-/// order: the value vector, widening (at widening points the operator is
-/// chosen by the control-action kinds present in the node's component,
-/// under the precedence ndet ▷ prob ▷ cond — see
-/// CompiledProgram::wideningKinds — which maintains the invariant of
-/// Obs 4.9: old ⊑ new at every `old ∇ new`), convergence accounting, and
-/// the update budget. A solve runs on the calling thread.
+/// The iteration is a worklist ordered by Bourdoncle's weak topological
+/// order (§4.4): every node starts dirty, the dirty node earliest in the
+/// WTO's linearization is re-evaluated next, and a change at u re-dirties
+/// exactly the nodes whose right-hand side reads u. The system is stable
+/// when no node is dirty. Besides the order, solve() owns the value
+/// vector, widening (at widening points the operator is chosen by the
+/// control-action kinds present in the node's component, under the
+/// precedence ndet ▷ prob ▷ cond — see CompiledProgram::wideningKinds —
+/// which maintains the invariant of Obs 4.9: old ⊑ new at every
+/// `old ∇ new`), convergence accounting, and the update budget. A solve
+/// runs on the calling thread.
 ///
 /// The value computed at a procedure's entry node is that procedure's
 /// summary (§2.3).
@@ -47,9 +44,8 @@
 #include "cfg/Wto.h"
 #include "core/CompiledProgram.h"
 #include "core/Domain.h"
-#include "core/Instrumentation.h"
-#include "core/Schedule.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -101,15 +97,9 @@ struct SolverOptions {
   /// Number of plain updates of a widening point before widening kicks in.
   unsigned WideningDelay = 2;
 
-  IterationStrategy Strategy = IterationStrategy::WtoRecursive;
-
   /// Disable widening altogether (sound for under-abstractions iterated
   /// from bottom, such as the Bayesian-inference domain of §5.1).
   bool UseWidening = true;
-
-  /// Ablation (§4.4): use widenNdet at every widening point instead of
-  /// selecting the operator by the loop's control action.
-  bool UnifiedWidening = false;
 
   /// Safety valve: abort (Converged=false) after this many node updates.
   uint64_t MaxUpdates = 5'000'000;
@@ -134,10 +124,13 @@ struct SolverOptions {
 /// exactly that closure). Then each clean node's right-hand side reads
 /// only clean nodes whose equations are unchanged, so the prior values
 /// remain the least solution there, and dirty nodes restart from bottom
-/// with fresh widening counts — the same iteration history a from-scratch
-/// solve would give them once their (identical) clean inputs stabilized.
-/// Under the stabilization discipline every scheduler follows, the warm
-/// fixpoint is therefore bit-identical to the cold one.
+/// with fresh widening counts. The worklist order makes the warm fixpoint
+/// bit-identical to the cold one: a clean input of a dirty node precedes
+/// it in WTO position (a clean node in the dirty node's component would
+/// be reachable from it, hence dirty), so when a cold solve first pops
+/// the dirty node, its clean inputs already hold their final values and
+/// never change again. The dirty region therefore sees the same pops and
+/// reads the same values in both solves.
 template <typename ValueT> struct WarmStart {
   /// Prior per-node values, indexed by the *current* graph's node ids
   /// (the caller maps old ids to new ones). Dirty slots may hold
@@ -147,8 +140,8 @@ template <typename ValueT> struct WarmStart {
   std::vector<char> Dirty;
 };
 
-/// Counters reported by the solver (a built-in summary; richer event
-/// streams go through the SolverObserver passed to solve()).
+/// Counters of one solve: the one stats record every front end reports
+/// (`pmaf --stats`, pmafd's analyze replies, the bench JSON).
 struct SolverStats {
   uint64_t NodeUpdates = 0;
   uint64_t WideningApplications = 0;
@@ -187,14 +180,13 @@ template <typename ValueT> struct AnalysisResult {
 /// Solves the inequality system for an already-compiled program. The
 /// compiled program's transformer cache survives the call, so repeated
 /// solves (e.g. timed re-analyses) interpret each `seq` edge exactly once
-/// overall. \p Observer, when non-null, receives every solver event.
-/// \p Warm, when non-null and sized for the graph, warm-starts the solve
-/// from a prior fixpoint: clean nodes keep their values untouched, only
-/// the dirty (dependence-closed) region iterates — see WarmStart.
+/// overall. \p Warm, when non-null and sized for the graph, warm-starts
+/// the solve from a prior fixpoint: clean nodes keep their values
+/// untouched, only the dirty (dependence-closed) region iterates — see
+/// WarmStart.
 template <PreMarkovAlgebra D>
 AnalysisResult<typename D::Value>
 solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
-      SolverObserver *Observer = nullptr,
       const WarmStart<typename D::Value> *Warm = nullptr) {
   using Value = typename D::Value;
 
@@ -202,19 +194,16 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
   D &Dom = Compiled.domain();
   const unsigned NumNodes = Graph.numNodes();
 
-  Compiled.setObserver(Observer);
   const uint64_t InterpretCallsBefore = Compiled.interpretCalls();
   const uint64_t InterpretHitsBefore = Compiled.interpretCacheHits();
   NumericLayerStats NumericBefore;
   if constexpr (ReportsNumericStats<D>)
     NumericBefore = D::numericStats();
-  if (Observer)
-    Observer->onSolveBegin(NumNodes);
 
   AnalysisResult<Value> Result;
   // Warm start: adopt the prior fixpoint wholesale, then reset the dirty
   // region to bottom so it re-iterates exactly as a cold solve would.
-  // Clean nodes are frozen — Update() below never touches them.
+  // Clean nodes are frozen — the loop below never updates them.
   const std::vector<char> *DirtyMask = nullptr;
   if (Warm && Warm->Values.size() == NumNodes &&
       Warm->Dirty.size() == NumNodes) {
@@ -234,87 +223,77 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
   // Iteration order: the WTO cached on the compiled program (invariant
   // across solves; rooted at the exits so values flow leaf-to-root, §2.3).
   const cfg::Wto &Order = Compiled.wto();
+  const std::vector<unsigned> &Position = Compiled.wtoPositions();
+  const std::vector<unsigned> &NodeAt = Compiled.wtoNodes();
 
   std::vector<unsigned> UpdateCount(NumNodes, 0);
   SolverStats &Stats = Result.Stats;
 
-  // Updates node V; returns true if its value changed.
-  auto Update = [&](unsigned V) -> bool {
-    // Frozen under warm start: the prior fixpoint value stands, no
-    // domain operation and no budget charge. Clean SCCs thus stabilize
-    // in one trivial pass under every scheduler.
-    if (DirtyMask && !(*DirtyMask)[V])
-      return false;
-    if (!Graph.outgoing(V))
-      return false; // Exit nodes are pinned at 1.
+  // The worklist: Dirty[p] flags the node at WTO position p. Every node
+  // starts dirty, and no dirty position lies below Cursor, so scanning up
+  // from it pops the dirty node earliest in the WTO.
+  std::vector<char> Dirty(NumNodes, 1);
+  unsigned Cursor = 0;
+  while (true) {
+    while (Cursor != NumNodes && !Dirty[Cursor])
+      ++Cursor;
+    if (Cursor == NumNodes)
+      break;
+    Dirty[Cursor] = 0;
+    const unsigned V = NodeAt[Cursor];
+    // Frozen under warm start (the prior fixpoint value stands: no domain
+    // operation and no budget charge), or an exit, pinned at 1.
+    if ((DirtyMask && !(*DirtyMask)[V]) || !Graph.outgoing(V))
+      continue;
     if (Stats.NodeUpdates >= Opts.MaxUpdates) {
       // Refused: the tally stays exactly at the budget.
       Stats.Converged = false;
-      return false;
+      break;
     }
     ++Stats.NodeUpdates;
     Value New = Compiled.evalRhs(V, Result.Values);
-    bool Widen = Opts.UseWidening && Order.WideningPoint[V] &&
-                 UpdateCount[V] >= Opts.WideningDelay;
-    ++UpdateCount[V];
-    if (Widen) {
+    if (Opts.UseWidening && Order.WideningPoint[V] &&
+        UpdateCount[V] >= Opts.WideningDelay) {
       ++Stats.WideningApplications;
-      if (Observer)
-        Observer->onWidening(V);
       const Value &Old = Result.Values[V];
-      if (Opts.UnifiedWidening) {
+      // The operator is a function of the component, not of V's own
+      // outgoing edge: a head can close loops guarded by several kinds
+      // at once, and which guard contributes the head's edge is an
+      // accident of DFS order (CompiledProgram::wideningKinds applies
+      // the precedence ndet ▷ prob ▷ cond over the component's guard
+      // edges — branches leading both back into and out of the loop).
+      switch (Compiled.wideningKinds()[V]) {
+      case cfg::ControlAction::Kind::Cond:
+        New = Dom.widenCond(Old, New);
+        break;
+      case cfg::ControlAction::Kind::Prob:
+        New = Dom.widenProb(Old, New);
+        break;
+      case cfg::ControlAction::Kind::Ndet:
         New = Dom.widenNdet(Old, New);
-      } else {
-        // The operator is a function of the component, not of V's own
-        // outgoing edge: a head can close loops guarded by several kinds
-        // at once, and which guard contributes the head's edge is an
-        // accident of DFS order (CompiledProgram::wideningKinds applies
-        // the precedence ndet ▷ prob ▷ cond over the component's guard
-        // edges — branches leading both back into and out of the loop).
-        switch (Compiled.wideningKinds()[V]) {
-        case cfg::ControlAction::Kind::Cond:
-          New = Dom.widenCond(Old, New);
-          break;
-        case cfg::ControlAction::Kind::Prob:
-          New = Dom.widenProb(Old, New);
-          break;
-        case cfg::ControlAction::Kind::Ndet:
-          New = Dom.widenNdet(Old, New);
-          break;
-        case cfg::ControlAction::Kind::Seq:
-        case cfg::ControlAction::Kind::Call:
-          // A component with only seq/call edges is the cut of a
-          // recursion cycle; domains may use a dedicated operator here —
-          // rebuilding pessimistically as for ndet loops is sound but
-          // can destroy all relational information a recursive summary
-          // needs.
-          New = Dom.widenCall(Old, New);
-          break;
-        }
+        break;
+      case cfg::ControlAction::Kind::Seq:
+      case cfg::ControlAction::Kind::Call:
+        // A component with only seq/call edges is the cut of a recursion
+        // cycle; domains may use a dedicated operator here — rebuilding
+        // pessimistically as for ndet loops is sound but can destroy all
+        // relational information a recursive summary needs.
+        New = Dom.widenCall(Old, New);
+        break;
       }
     }
-    bool Changed = !Dom.equal(Result.Values[V], New);
-    if (Observer)
-      Observer->onNodeUpdate(V, Changed);
-    if (!Changed)
-      return false;
+    ++UpdateCount[V];
+    if (Dom.equal(Result.Values[V], New))
+      continue;
     Result.Values[V] = std::move(New);
-    return true;
-  };
-
-  // The worklist scheduler's priority key, hoisted here so it is computed
-  // once per solve rather than once per scheduler run.
-  std::vector<unsigned> Positions = Order.positions();
-
-  ScheduleContext Ctx;
-  Ctx.NumNodes = NumNodes;
-  Ctx.Order = &Order;
-  Ctx.Dependents = &Compiled.dependents();
-  Ctx.Positions = &Positions;
-  Ctx.Update = Update;
-  Ctx.Exhausted = [&Stats] { return !Stats.Converged; };
-  Ctx.Observer = Observer;
-  makeScheduler(Opts.Strategy)->run(Ctx);
+    for (unsigned W : Compiled.dependents()[V]) {
+      const unsigned P = Position[W];
+      if (!Dirty[P]) {
+        Dirty[P] = 1;
+        Cursor = std::min(Cursor, P);
+      }
+    }
+  }
 
   // Warm-start reuse accounting: frozen nodes, and the component-level
   // split of the WTO into all-clean (skipped) and dirty (re-resolved)
@@ -324,7 +303,7 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
       for (unsigned V = 0; V != NumNodes; ++V)
         Result.Stats.NodesReused += (*DirtyMask)[V] ? 0 : 1;
     auto Visit = [&](auto &&Self, const cfg::WtoElement &E) -> bool {
-      bool AllClean = !DirtyMask || !(*DirtyMask)[E.Node];
+      bool AllClean = DirtyMask && !(*DirtyMask)[E.Node];
       for (const cfg::WtoElement &Child : E.Body)
         AllClean &= Self(Self, Child);
       if (E.IsComponent)
@@ -354,11 +333,7 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
         Now.Escalations - NumericBefore.Escalations;
     Result.Stats.Numeric.PeakGeneratorRows = Now.PeakGeneratorRows;
     Result.Stats.Numeric.MaxPackWidth = Now.MaxPackWidth;
-    if (Observer)
-      Observer->onNumericLayer(Result.Stats.Numeric);
   }
-  if (Observer)
-    Observer->onSolveEnd(Result.Stats.Converged);
   return Result;
 }
 
@@ -368,10 +343,9 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
 template <PreMarkovAlgebra D>
 AnalysisResult<typename D::Value> solve(const cfg::ProgramGraph &Graph,
                                         D &Dom,
-                                        const SolverOptions &Opts = {},
-                                        SolverObserver *Observer = nullptr) {
-  CompiledProgram<D> Compiled(Graph, Dom, Observer);
-  return solve(Compiled, Opts, Observer);
+                                        const SolverOptions &Opts = {}) {
+  CompiledProgram<D> Compiled(Graph, Dom);
+  return solve(Compiled, Opts);
 }
 
 } // namespace core

@@ -6,7 +6,6 @@
 
 #include "server/Daemon.h"
 
-#include "core/Schedule.h"
 #include "driver/Domains.h"
 #include "server/Protocol.h"
 
@@ -361,18 +360,6 @@ std::string Daemon::handle(const std::string &Payload, bool &Shutdown) {
     AnalyzeRequest AReq;
     AReq.Cold = getBool(*Req, "cold", false);
     AReq.Werror = getBool(*Req, "werror", false);
-    if (const Json *J = Req->get("strategy")) {
-      std::optional<core::IterationStrategy> Strategy =
-          J->isString() ? core::parseIterationStrategy(J->asString())
-                        : std::nullopt;
-      if (!Strategy)
-        return errorReply("invalid-flag-value",
-                          "unknown iteration strategy" +
-                              (J->isString() ? " '" + J->asString() + "'"
-                                             : std::string(" (not a string)")))
-            .dump();
-      AReq.Strategy = Strategy;
-    }
     OptUnsigned Delay = getUnsigned(*Req, "widening_delay");
     OptUnsigned MaxUpdates = getUnsigned(*Req, "max_updates");
     if (!Delay.Ok || (Delay.Value && *Delay.Value > 0xffffffffull))

@@ -16,8 +16,8 @@
 ///   {"cmd":"load",    "session":"s", "source":"proc main() {...}",
 ///                     "domain":"auto|leia|bi|mdp|termination",
 ///                     "numeric":"poly|ladder|zones|intervals"}
-///   {"cmd":"analyze", "session":"s", "strategy":"wto|round-robin|worklist",
-///                     "cold":false, "widening_delay":2, "max_updates":1000000}
+///   {"cmd":"analyze", "session":"s", "cold":false, "widening_delay":2,
+///                     "max_updates":1000000}
 ///   {"cmd":"edit",    "session":"s", "source":"<full new source>"}
 ///   {"cmd":"stats",   "session":"s"}
 ///   {"cmd":"shutdown"}

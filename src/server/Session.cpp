@@ -226,8 +226,6 @@ public:
     }
     core::SolverOptions Opts;
     Box::preset(Opts);
-    if (Req.Strategy)
-      Opts.Strategy = *Req.Strategy;
     if (Req.WideningDelay)
       Opts.WideningDelay = *Req.WideningDelay;
     if (Req.MaxUpdates)
@@ -244,7 +242,7 @@ public:
     }
     const auto Start = std::chrono::steady_clock::now();
     auto Result =
-        core::solve(*Compiled, Opts, nullptr, UseWarm ? &Warm : nullptr);
+        core::solve(*Compiled, Opts, UseWarm ? &Warm : nullptr);
     Reply.SolveSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
             .count();

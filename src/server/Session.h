@@ -74,7 +74,6 @@ struct IncrementalReuse {
 /// Solver knobs for one analyze. Unset fields keep the domain's preset
 /// (its box in driver/Pipeline.h), as `pmaf`'s flags do.
 struct AnalyzeRequest {
-  std::optional<core::IterationStrategy> Strategy;
   std::optional<unsigned> WideningDelay;
   std::optional<uint64_t> MaxUpdates;
   /// Discard all resident artifacts first and solve from scratch — the

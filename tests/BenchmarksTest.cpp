@@ -18,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <sstream>
 
 using namespace pmaf;
 using namespace pmaf::core;
@@ -102,6 +104,30 @@ std::vector<double> biPosterior(const char *Name, double *MassOut) {
 }
 
 } // namespace
+
+// tests/cli/paper/<family>/<name>.pp is what the CLI pins run `pmaf` on;
+// each must stay the embedded source (minus its leading newline), so the
+// pinned answers are the paper programs' answers.
+TEST(BenchmarksTest, CliPaperPinsUseTheEmbeddedSources) {
+  auto Check = [](const char *Family,
+                  const std::vector<benchmarks::BenchProgram> &Table) {
+    for (const auto &Bench : Table) {
+      std::string Path = std::string(PMAF_CLI_PAPER_DIR) + "/" + Family +
+                         "/" + Bench.Name + ".pp";
+      std::ifstream File(Path);
+      ASSERT_TRUE(File) << "missing " << Path;
+      std::ostringstream Text;
+      Text << File.rdbuf();
+      std::string Source = Bench.Source;
+      if (!Source.empty() && Source.front() == '\n')
+        Source.erase(0, 1);
+      EXPECT_EQ(Text.str(), Source) << Path;
+    }
+  };
+  Check("leia", benchmarks::leiaPrograms());
+  Check("bi", benchmarks::biPrograms());
+  Check("mdp", benchmarks::mdpPrograms());
+}
 
 TEST(BenchmarksTest, BiComparePosteriorIsThreeEighths) {
   double Mass = 0.0;

@@ -87,7 +87,7 @@ void expectWarmMatchesCold(D &Dom, const cfg::ProgramGraph &Graph,
     Warm.Values = Cold.Values;
     Warm.Dirty =
         cfg::reachableFrom(Compiled.dependents(), nodesOfProc(Graph, P));
-    auto WarmRes = core::solve(Compiled, Opts, nullptr, &Warm);
+    auto WarmRes = core::solve(Compiled, Opts, &Warm);
     ASSERT_TRUE(WarmRes.Stats.Converged);
     ASSERT_EQ(WarmRes.Values.size(), Cold.Values.size());
     for (unsigned V = 0; V != Graph.numNodes(); ++V)
@@ -492,10 +492,6 @@ TEST(DaemonTest, StableErrorCodes) {
         R"({"cmd":"load","source":"bool x; proc main() { x := true; }"})");
     EXPECT_EQ(
         fieldString(C.request(R"({"cmd":"analyze","max_updates":1.5})"),
-                    "code"),
-        "invalid-flag-value");
-    EXPECT_EQ(
-        fieldString(C.request(R"({"cmd":"analyze","strategy":"warp"})"),
                     "code"),
         "invalid-flag-value");
     EXPECT_EQ(fieldString(C.request(R"({"cmd":"configure","jobs":4})"),

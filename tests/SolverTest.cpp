@@ -132,25 +132,19 @@ TEST(SolverTest, StatsAreReported) {
 }
 
 TEST(SolverTest, MaxUpdatesSafetyValve) {
-  // Exhausting the update budget must (a) report Converged = false under
-  // every scheduler, and (b) account honestly: a refused update hands its
-  // provisional increment back, so the reported NodeUpdates equals the
-  // budget exactly instead of overshooting by one refusal per retry.
+  // Exhausting the update budget must (a) report Converged = false, and
+  // (b) account honestly: the refused update is not counted, so the
+  // reported NodeUpdates equals the budget exactly.
   auto Prog = lang::parseProgramOrDie(R"(
     proc main() { while prob(1/2) { skip; } }
   )");
   cfg::ProgramGraph G = cfg::ProgramGraph::build(*Prog);
-  for (IterationStrategy Strategy :
-       {IterationStrategy::WtoRecursive, IterationStrategy::RoundRobin,
-        IterationStrategy::Worklist}) {
-    ReachDomain Dom;
-    SolverOptions Opts;
-    Opts.Strategy = Strategy;
-    Opts.MaxUpdates = 3;
-    auto Result = solve(G, Dom, Opts);
-    EXPECT_FALSE(Result.Stats.Converged) << toString(Strategy);
-    EXPECT_EQ(Result.Stats.NodeUpdates, 3u) << toString(Strategy);
-  }
+  ReachDomain Dom;
+  SolverOptions Opts;
+  Opts.MaxUpdates = 3;
+  auto Result = solve(G, Dom, Opts);
+  EXPECT_FALSE(Result.Stats.Converged);
+  EXPECT_EQ(Result.Stats.NodeUpdates, 3u);
 }
 
 TEST(SolverTest, CallComposesSummaries) {
@@ -199,49 +193,28 @@ TEST(SolverTest, CompiledProgramReuseSkipsReinterpretation) {
     EXPECT_TRUE(Dom.equal(First.Values[V], Second.Values[V]));
 }
 
-TEST(SolverTest, ObserverSeesSolveLifecycleAndUpdates) {
+TEST(SolverTest, StatsRecordSolveLifecycle) {
+  // One solve's record: the loop converges, updates and widens, compiles
+  // each seq edge once and serves the rest from the cache; a cold solve
+  // reuses nothing and resolves every WTO component (the while loop).
   auto Prog = lang::parseProgramOrDie(R"(
     proc main() { while prob(1/2) { skip; } }
   )");
   cfg::ProgramGraph G = cfg::ProgramGraph::build(*Prog);
   ReachDomain Dom;
-  SolverInstrumentation Counters;
-  auto Result = solve(G, Dom, SolverOptions{}, &Counters);
-  EXPECT_EQ(Counters.Solves, 1u);
-  EXPECT_TRUE(Counters.LastConverged);
-  EXPECT_EQ(Counters.NodeUpdates, Result.Stats.NodeUpdates);
-  EXPECT_EQ(Counters.WideningApplications,
-            Result.Stats.WideningApplications);
-  EXPECT_EQ(Counters.InterpretCalls, Result.Stats.InterpretCalls);
-  EXPECT_EQ(Counters.InterpretCacheHits, Result.Stats.InterpretCacheHits);
-  EXPECT_GT(Counters.ValueChanges, 0u);
-  EXPECT_GT(Counters.ComponentStabilizations, 0u); // The while loop.
-  EXPECT_GE(Counters.SolveSeconds, 0.0);
-  EXPECT_FALSE(Counters.report().empty());
-}
-
-TEST(SolverTest, WorklistSchedulerMatchesRecursiveOnRecursion) {
-  const char *Source = R"(
-    proc helper() { if prob(1/2) { helper(); } }
-    proc main() { helper(); helper(); }
-  )";
-  auto Prog = lang::parseProgramOrDie(Source);
-  cfg::ProgramGraph G = cfg::ProgramGraph::build(*Prog);
-  ReachDomain Dom;
-  SolverOptions Wto;
-  auto Reference = solve(G, Dom, Wto);
-  SolverOptions Wl;
-  Wl.Strategy = IterationStrategy::Worklist;
-  auto Result = solve(G, Dom, Wl);
-  EXPECT_TRUE(Result.Stats.Converged);
-  for (unsigned V = 0; V != Reference.Values.size(); ++V)
-    EXPECT_TRUE(Dom.equal(Reference.Values[V], Result.Values[V]));
-  // Dirty-node tracking should not do more work than a full-sweep
-  // round-robin on the same system.
-  SolverOptions Rr;
-  Rr.Strategy = IterationStrategy::RoundRobin;
-  auto RoundRobin = solve(G, Dom, Rr);
-  EXPECT_LE(Result.Stats.NodeUpdates, RoundRobin.Stats.NodeUpdates);
+  CompiledProgram<ReachDomain> Compiled(G, Dom);
+  auto Result = solve(Compiled);
+  const SolverStats &Stats = Result.Stats;
+  EXPECT_TRUE(Stats.Converged);
+  EXPECT_GT(Stats.NodeUpdates, 0u);
+  EXPECT_GT(Stats.WideningApplications, 0u);
+  EXPECT_LE(Stats.WideningApplications, Stats.NodeUpdates);
+  EXPECT_EQ(Stats.InterpretCalls, Compiled.interpretCalls());
+  EXPECT_EQ(Stats.InterpretCacheHits, Compiled.interpretCacheHits());
+  EXPECT_GT(Stats.InterpretCacheHits, 0u);
+  EXPECT_EQ(Stats.NodesReused, 0u);
+  EXPECT_EQ(Stats.SccsSkipped, 0u);
+  EXPECT_EQ(Stats.SccsResolved, 1u);
 }
 
 TEST(SolverTest, UnreachableProcedureStillAnalyzed) {

@@ -4,7 +4,6 @@
 //
 //   pmaf <file.pp> [--domain=leia|bi|mdp|termination] [--decompose]
 //                  [--dot] [--stats] [--werror] [--diag-format=text|json]
-//                  [--strategy=wto|round-robin|worklist]
 //                  [--numeric=poly|ladder|zones|intervals]
 //                  [--widening-delay=<n>] [--max-updates=<n>]
 //   pmaf check <file.pp>... [--domain=leia|bi|mdp|termination]
@@ -36,12 +35,14 @@
 // poly/Ladder.h, and `zones`/`intervals` are cheap sound
 // over-approximations restricted to their fragment.
 //
-// The solver knobs map onto core::SolverOptions: --strategy selects the
-// chaotic-iteration scheduler (core/Schedule.h), --widening-delay the
-// number of plain updates before widening kicks in, and --max-updates the
-// node-update budget. Every solve runs on one thread.
-// --stats prints the instrumentation counters (core/Instrumentation.h),
-// including the interpret-cache traffic and the numeric-layer counters.
+// The solver knobs map onto core::SolverOptions: --widening-delay the
+// number of plain updates before widening kicks in (BI never widens, so
+// there it draws an [option-ignored] warning), and --max-updates the
+// node-update budget. Every solve runs on one thread, iterating a
+// worklist in WTO order (core/Solver.h). --stats prints the settings the
+// domain uses, the solve's counters (core::SolverStats) including the
+// interpret-cache traffic and the numeric-layer counters, and the wall
+// clock of the solve.
 //
 // Every solve is followed by the checker layer (checks/Checker.h): each
 // `assert_prob` / `assert_reward` / `assert_interval` statement is judged
@@ -74,8 +75,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "checks/Fuzz.h"
-#include "core/Instrumentation.h"
-#include "core/Schedule.h"
 #include "core/Solver.h"
 #include "driver/Pipeline.h"
 #include "server/Daemon.h"
@@ -88,6 +87,7 @@
 #include "RandomProgramGen.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -112,7 +112,6 @@ int usage(const char *Argv0) {
                "usage: %s <file.pp | -> [--domain=leia|bi|mdp|termination]"
                " [--decompose] [--dot] [--stats] [--werror]"
                " [--diag-format=text|json]"
-               " [--strategy=wto|round-robin|worklist]"
                " [--numeric=poly|ladder|zones|intervals]"
                " [--widening-delay=<n>] [--max-updates=<n>]\n"
                "       %s check <file.pp>..."
@@ -131,7 +130,6 @@ int usage(const char *Argv0) {
 /// The flags of one `pmaf <file>` run. The solver knobs overlay the
 /// preset of the domain's box.
 struct AnalyzeConfig {
-  std::optional<IterationStrategy> Strategy;
   std::optional<unsigned> WideningDelay;
   std::optional<uint64_t> MaxUpdates;
   std::optional<NumericBackend> Numeric;
@@ -140,8 +138,6 @@ struct AnalyzeConfig {
   bool Json = false;
 
   void apply(SolverOptions &Opts) const {
-    if (Strategy)
-      Opts.Strategy = *Strategy;
     if (WideningDelay)
       Opts.WideningDelay = *WideningDelay;
     if (MaxUpdates)
@@ -152,11 +148,11 @@ struct AnalyzeConfig {
 
   /// Prints one solve's check verdicts, its --stats report, and a warning
   /// when the update budget ran out (the printed values are then only a
-  /// mid-iteration snapshot); returns the exit code.
+  /// mid-iteration snapshot); returns the exit code. \p Leia says whether
+  /// the domain runs on a numeric backend.
   int finish(const checks::ChecksDb &Db, const std::string &Path,
-             const std::string &Source, const SolverInstrumentation &Counters,
-             const SolverOptions &Opts,
-             const core::SolverStats &SolveStats) const {
+             const std::string &Source, const SolverOptions &Opts, bool Leia,
+             const core::SolverStats &SolveStats, double SolveSeconds) const {
     DiagnosticEngine Diags;
     Diags.setSource(Path, Source);
     Diags.setWarningsAsErrors(Werror);
@@ -171,18 +167,8 @@ struct AnalyzeConfig {
         std::printf("checks: %s\n", Db.summary().c_str());
       }
     }
-    if (Stats) {
-      std::printf("; strategy: %s, widening delay %u, max updates %llu, "
-                  "numeric %s\n",
-                  core::toString(Opts.Strategy), Opts.WideningDelay,
-                  static_cast<unsigned long long>(Opts.MaxUpdates),
-                  core::toString(Opts.Numeric));
-      if (!SolveStats.Converged)
-        std::printf("; NOT CONVERGED: update budget exhausted after %llu "
-                    "updates\n",
-                    static_cast<unsigned long long>(SolveStats.NodeUpdates));
-      std::printf("%s", Counters.report().c_str());
-    }
+    if (Stats)
+      printStats(Opts, Leia, SolveStats, SolveSeconds);
     if (!SolveStats.Converged)
       std::fprintf(stderr,
                    "warning: analysis did not converge: the update budget "
@@ -190,6 +176,41 @@ struct AnalyzeConfig {
                    "are not a post-fixpoint\n",
                    static_cast<unsigned long long>(Opts.MaxUpdates));
     return Exit;
+  }
+
+  /// The --stats report: the settings the domain uses, then the solve's
+  /// counters and its wall clock.
+  static void printStats(const SolverOptions &Opts, bool Leia,
+                         const core::SolverStats &S, double SolveSeconds) {
+    auto U = [](uint64_t N) { return static_cast<unsigned long long>(N); };
+    std::printf("; settings: ");
+    if (Opts.UseWidening)
+      std::printf("widening delay %u, ", Opts.WideningDelay);
+    std::printf("max updates %llu", U(Opts.MaxUpdates));
+    if (Leia)
+      std::printf(", numeric %s", core::toString(Opts.Numeric));
+    std::printf("\n");
+    if (!S.Converged)
+      std::printf("; NOT CONVERGED: update budget exhausted after %llu "
+                  "updates\n",
+                  U(S.NodeUpdates));
+    std::printf("; solver: %llu updates, %llu widenings, converged=%s\n"
+                "; interpret cache: %llu misses (= distinct seq edges "
+                "evaluated), %llu hits\n"
+                "; wall clock: %.6f s\n",
+                U(S.NodeUpdates), U(S.WideningApplications),
+                S.Converged ? "yes" : "NO", U(S.InterpretCalls),
+                U(S.InterpretCacheHits), SolveSeconds);
+    const core::NumericLayerStats &N = S.Numeric;
+    if (N.MinimizationCalls > 0 || N.ConversionCacheHits > 0)
+      std::printf("; numeric layer: %llu Chernikova minimizations (peak %u "
+                  "generator rows), conversion cache %llu hits / %llu misses "
+                  "(%llu shared-L2 hits, %llu evictions)\n"
+                  "; ladder: %llu escalations, max pack width %u\n",
+                  U(N.MinimizationCalls), N.PeakGeneratorRows,
+                  U(N.ConversionCacheHits), U(N.ConversionCacheMisses),
+                  U(N.SharedCacheHits), U(N.CacheEvictions),
+                  U(N.Escalations), N.MaxPackWidth);
   }
 };
 
@@ -551,14 +572,7 @@ int main(int argc, char **argv) {
       EmitDot = true;
     else if (Arg == "--stats")
       Config.Stats = true;
-    else if (Arg.rfind("--strategy=", 0) == 0) {
-      Config.Strategy = parseIterationStrategy(Arg.substr(11));
-      if (!Config.Strategy) {
-        std::fprintf(stderr, "error: unknown strategy %s\n",
-                     Arg.substr(11).c_str());
-        return usage(argv[0]);
-      }
-    } else if (Arg.rfind("--numeric=", 0) == 0) {
+    else if (Arg.rfind("--numeric=", 0) == 0) {
       Config.Numeric = parseNumericBackend(Arg.substr(10));
       if (!Config.Numeric) {
         std::fprintf(stderr, "error: unknown numeric backend %s\n",
@@ -653,6 +667,10 @@ int main(int argc, char **argv) {
                  "--numeric selects the LEIA numeric backend and has no "
                  "effect with --domain=" +
                      Domain);
+  if (Config.WideningDelay && Domain == "bi")
+    Diags.report(Severity::Warning, {}, "option-ignored",
+                 "--widening-delay delays widening, which the BI analysis "
+                 "never applies; it has no effect with --domain=bi");
   if (Decompose && Domain != "leia")
     Diags.report(Severity::Warning, {}, "option-ignored",
                  "--decompose targets signed variables of LEIA runs; with "
@@ -684,13 +702,18 @@ int main(int argc, char **argv) {
         SolverOptions Opts;
         Box::preset(Opts);
         Config.apply(Opts);
-        SolverInstrumentation Counters;
-        auto Result = solve(Graph, B.Dom, Opts, &Counters);
+        const auto Start = std::chrono::steady_clock::now();
+        auto Result = solve(Graph, B.Dom, Opts);
+        const double SolveSeconds = std::chrono::duration<double>(
+                                        std::chrono::steady_clock::now() -
+                                        Start)
+                                        .count();
         std::printf("%s",
                     driver::render(B, Prog, Graph, Result.Values).c_str());
         checks::CheckerOptions COpts;
         COpts.Converged = Result.Stats.Converged;
         return Config.finish(B.check(Graph, Result.Values, COpts), Path,
-                             Source, Counters, Opts, Result.Stats);
+                             Source, Opts, Domain == "leia", Result.Stats,
+                             SolveSeconds);
       });
 }
