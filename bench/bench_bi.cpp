@@ -118,9 +118,14 @@ int main(int argc, char **argv) {
     std::printf("%-12s %5u %4c %6u %9.4f  %10.6f  %s\n", R.Name.c_str(),
                 R.Loc, R.Rec, R.Calls, R.Seconds, R.PosteriorMass,
                 R.CrossCheck.c_str());
-    Json.add({R.Name, R.Seconds, R.Stats.NodeUpdates,
-              R.Stats.WideningApplications, R.Stats.InterpretCalls,
-              R.Stats.InterpretCacheHits});
+    bench::BenchRecord Record;
+    Record.Name = R.Name;
+    Record.Seconds = R.Seconds;
+    Record.NodeUpdates = R.Stats.NodeUpdates;
+    Record.Widenings = R.Stats.WideningApplications;
+    Record.InterpretCalls = R.Stats.InterpretCalls;
+    Record.InterpretCacheHits = R.Stats.InterpretCacheHits;
+    Json.add(std::move(Record));
   }
   bench::printRule(78);
   std::printf("\n");

@@ -11,10 +11,13 @@
 #include "core/CompiledProgram.h"
 #include "driver/Pipeline.h"
 #include "lang/Ast.h"
+#include "linalg/Matrix.h"
 #include "support/Diagnostics.h"
 
+#include <bit>
 #include <chrono>
 #include <cstdio>
+#include <string_view>
 #include <utility>
 
 using namespace pmaf;
@@ -57,10 +60,56 @@ uint64_t countSeqEdges(const cfg::ProgramGraph &G) {
   return N;
 }
 
+/// 64-bit FNV-1a.
+struct Fnv1a {
+  uint64_t H = 1469598103934665603ull;
+
+  void mix(std::string_view S) {
+    for (unsigned char C : S)
+      mixByte(C);
+  }
+  /// Mixes the eight bytes of \p W, least significant first.
+  void mixWord(uint64_t W) {
+    for (unsigned I = 0; I != 8; ++I)
+      mixByte(static_cast<unsigned char>(W >> (8 * I)));
+  }
+  void mixByte(unsigned char C) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
+};
+
 std::string fnvFingerprint(uint64_t H) {
   char Buf[17];
   std::snprintf(Buf, sizeof Buf, "%016llx", (unsigned long long)H);
   return Buf;
+}
+
+// mixValue hashes a value's IEEE-754 bits as they are: MDP and
+// termination values are doubles, dense BI values matrices of them.
+// Nothing is canonicalized, so -0.0 and every NaN payload stay distinct.
+
+void mixValue(Fnv1a &H, double X) { H.mixWord(std::bit_cast<uint64_t>(X)); }
+
+void mixValue(Fnv1a &H, const Matrix &M) {
+  H.mixWord(M.rows());
+  H.mixWord(M.cols());
+  for (size_t R = 0; R != M.rows(); ++R)
+    for (size_t C = 0; C != M.cols(); ++C)
+      mixValue(H, M.at(R, C));
+}
+
+/// Mixes node value \p X of \p Dom: its bits where mixValue takes it,
+/// else its rendering, which must then be exact (LEIA prints Rational
+/// coefficients).
+template <typename D>
+void mixNodeValue(Fnv1a &H, const D &Dom, const typename D::Value &X) {
+  if constexpr (requires { mixValue(H, X); }) {
+    mixValue(H, X);
+  } else {
+    H.mix(Dom.toString(X));
+    H.mix("\n");
+  }
 }
 
 } // namespace
@@ -269,22 +318,14 @@ public:
         driver::checkOutcome(Reply.Checks, Result.Stats.Converged, Diags);
     Reply.DiagnosticsJson = Diags.renderJson();
 
-    // FNV-1a over every node's rendered value plus the verdicts: two
-    // solves agree on the fingerprint iff they computed the same
-    // annotation — the daemon's bit-identity witness.
-    uint64_t H = 1469598103934665603ull;
-    const auto Mix = [&H](std::string_view S) {
-      for (unsigned char C : S) {
-        H ^= C;
-        H *= 1099511628211ull;
-      }
-    };
-    for (unsigned V = 0; V != NumNodes; ++V) {
-      Mix(TheBox->Dom.toString(Result.Values[V]));
-      Mix("\n");
-    }
-    Mix(Reply.ChecksJson);
-    Reply.Fingerprint = fnvFingerprint(H);
+    // FNV-1a over every node's exact value plus the verdicts: two solves
+    // agree on the fingerprint iff they computed the same annotation, bit
+    // for bit — the daemon's bit-identity witness.
+    Fnv1a Hash;
+    for (unsigned V = 0; V != NumNodes; ++V)
+      mixNodeValue(Hash, TheBox->Dom, Result.Values[V]);
+    Hash.mix(Reply.ChecksJson);
+    Reply.Fingerprint = fnvFingerprint(Hash.H);
 
     // Retain the fixpoint: re-analyzing without an edit warm-starts with
     // nothing dirty, and the next edit remaps it across graphs. A

@@ -93,9 +93,10 @@ struct AnalyzeReply {
   /// CLI-compatible outcome: 0 converged and checks pass, 1 failed
   /// checks, 3 budget exhausted.
   int Exit = 0;
-  /// FNV-1a over every node's rendered fixpoint value plus the checks
-  /// JSON: two solves agree on this iff they computed the same
-  /// annotation and verdicts.
+  /// FNV-1a over every node's exact fixpoint value (the bits of doubles
+  /// and BI matrices, LEIA's exact rendering) plus the checks JSON: two
+  /// solves agree on this iff they computed the same annotation, bit for
+  /// bit, and the same verdicts.
   std::string Fingerprint;
   checks::ChecksDb Checks;
   std::string ChecksJson;

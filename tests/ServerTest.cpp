@@ -308,6 +308,40 @@ TEST(ServerSessionTest, BadEditsKeepThePriorProgramResident) {
   EXPECT_EQ(After.Fingerprint, Before.Fingerprint);
 }
 
+TEST(ServerSessionTest, FingerprintSeesBelowSixDigits) {
+  // Each pair's fixpoints agree to six significant digits, which is all a
+  // rendering with %.6g or std::to_string keeps; the fingerprint hashes
+  // the values' bits, so it must tell every pair apart.
+  struct Pair {
+    const char *Domain;
+    const char *A;
+    const char *B;
+  };
+  const Pair Pairs[] = {
+      {"bi", "bool b; proc main() { b ~ bernoulli(1/3); }",
+       "bool b; proc main() { b ~ bernoulli(0.3333334); }"},
+      {"mdp", "bool b; proc main() { reward(0.0000001); }",
+       "bool b; proc main() { reward(0.0000002); }"},
+      {"termination",
+       "bool b; proc main() { if prob(1/3) { while (true) { b := true; } } }",
+       "bool b; proc main() { if prob(0.3333334) "
+       "{ while (true) { b := true; } } }"},
+  };
+  const auto Fingerprint = [](const char *Domain, const char *Source) {
+    server::Session S;
+    server::LoadReply LR = S.load(Source, Domain, core::NumericBackend::Ladder);
+    EXPECT_TRUE(LR.Ok) << LR.Error;
+    server::AnalyzeReply AR = S.analyze({});
+    EXPECT_TRUE(AR.Ok) << AR.Error;
+    EXPECT_TRUE(AR.Converged);
+    EXPECT_EQ(AR.Fingerprint.size(), 16u);
+    return AR.Fingerprint;
+  };
+  for (const Pair &P : Pairs)
+    EXPECT_NE(Fingerprint(P.Domain, P.A), Fingerprint(P.Domain, P.B))
+        << P.Domain;
+}
+
 TEST(ServerSessionTest, ProgramsNestedToTheBoundAnalyze) {
   for (testgen::Nesting Shape : testgen::AllNestings) {
     SCOPED_TRACE(testgen::toString(Shape));
