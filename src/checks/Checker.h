@@ -13,11 +13,11 @@
 /// analysis knows about executions that start at the assertion — the
 /// checker only has to interrogate it:
 ///
-///  * `assert_prob(phi) >= p` / `<= p` (BI, dense or ADD-backed): the
-///    summary matrix gives, per pre-state, a guaranteed lower bound and a
-///    complement upper bound on the post-distribution mass of phi
-///    (domains::probMassBounds). SAFE means the bound holds from *every*
-///    pre-state; ERROR means it is violated from every pre-state.
+///  * `assert_prob(phi) >= p` / `<= p` (BI): the summary matrix gives,
+///    per pre-state, a guaranteed lower bound and a complement upper bound
+///    on the post-distribution mass of phi (domains::probMassBounds). SAFE
+///    means the bound holds from *every* pre-state; ERROR means it is
+///    violated from every pre-state.
 ///  * `assert_reward <= r` / `>= r` (MDP): the node value is an *upper*
 ///    bound on the greatest expected reward, so `<=` can be proved but
 ///    never refuted and `>=` can be refuted but never proved.
@@ -122,10 +122,8 @@ struct CheckerOptions {
 std::vector<std::pair<unsigned, const lang::Stmt *>>
 collectAssertions(const cfg::ProgramGraph &Graph);
 
-/// Checks every assertion against BI summaries supplied by \p SummaryAt
-/// (dense rows for the checked node). Both BI backends funnel through
-/// here: the dense domain passes its values straight, the ADD-backed one
-/// expands per assertion site (cheap — assertions are sparse).
+/// Checks every assertion against the BI summary matrix \p SummaryAt
+/// returns for the checked node.
 ChecksDb checkBiSummaries(const domains::BoolStateSpace &Space,
                           const cfg::ProgramGraph &Graph,
                           const std::function<Matrix(unsigned)> &SummaryAt,

@@ -49,8 +49,7 @@ struct ProbMassBounds {
 };
 
 /// Computes ProbMassBounds of \p Phi for a lower-bound summary matrix over
-/// \p Space (used by checks/Checker for both the dense and ADD-backed BI
-/// domains).
+/// \p Space (used by checks/Checker).
 ProbMassBounds probMassBounds(const Matrix &Summary,
                               const BoolStateSpace &Space,
                               const lang::Cond &Phi);

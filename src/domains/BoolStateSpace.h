@@ -34,7 +34,7 @@ public:
   /// analysis) and at most MaxVars Booleans.
   explicit BoolStateSpace(const lang::Program &Prog);
 
-  static constexpr unsigned MaxVars = 20;
+  static constexpr unsigned MaxVars = 12;
 
   const lang::Program &program() const { return *Prog; }
   unsigned numVars() const { return NumVars; }

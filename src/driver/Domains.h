@@ -16,6 +16,7 @@
 
 #include "analysis/Lint.h"
 #include "core/Solver.h"
+#include "domains/BoolStateSpace.h"
 
 #include <string>
 #include <string_view>
@@ -32,9 +33,8 @@ struct DomainEntry {
 
 inline constexpr DomainEntry DomainTable[] = {
     {"leia", "LEIA", analysis::TargetDomain::Leia, 0},
-    // One dense BI value is a 2^n x 2^n matrix of doubles: 128 MiB at 12
-    // Booleans. (BoolStateSpace::MaxVars bounds the ADD domain instead.)
-    {"bi", "BI", analysis::TargetDomain::Bi, 12},
+    // One BI value is a 2^n x 2^n matrix of doubles: 128 MiB at 12 Booleans.
+    {"bi", "BI", analysis::TargetDomain::Bi, domains::BoolStateSpace::MaxVars},
     {"mdp", "MDP", analysis::TargetDomain::Mdp, 0},
     {"termination", "termination", analysis::TargetDomain::Termination, 0},
 };

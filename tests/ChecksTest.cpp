@@ -8,7 +8,7 @@
 // non-converged degradation. Finally, the randomized soundness fuzz:
 // plant a random assertion into a generated program, solve, check, and
 // demand the verdict never contradicts a Monte-Carlo ground-truth
-// estimate — for BI (dense and ADD-backed), MDP, and LEIA assertions.
+// estimate — for BI, MDP, and LEIA assertions.
 //
 // Set PMAF_SEED=<n> to replay the fuzz loops under a chosen seed.
 //
@@ -20,7 +20,6 @@
 #include "checks/Fuzz.h"
 #include "concrete/Interpreter.h"
 #include "core/Solver.h"
-#include "domains/AddBiDomain.h"
 #include "domains/BiDomain.h"
 #include "domains/LeiaDomain.h"
 #include "domains/MdpDomain.h"
@@ -62,21 +61,6 @@ ChecksDb checkBi(const Program &Prog, bool Converged = true) {
   COpts.Converged = Converged && Result.Stats.Converged;
   return checkBiSummaries(
       Space, Graph, [&](unsigned N) { return Result.Values[N]; }, COpts);
-}
-
-ChecksDb checkAddBi(const Program &Prog) {
-  BoolStateSpace Space(Prog);
-  cfg::ProgramGraph Graph = cfg::ProgramGraph::build(Prog);
-  AddBiDomain Dom(Space);
-  SolverOptions Opts;
-  Opts.UseWidening = false;
-  Opts.MaxUpdates = 200000;
-  auto Result = solve(Graph, Dom, Opts);
-  CheckerOptions COpts;
-  COpts.Converged = Result.Stats.Converged;
-  return checkBiSummaries(
-      Space, Graph, [&](unsigned N) { return Dom.toMatrix(Result.Values[N]); },
-      COpts);
 }
 
 ChecksDb checkMdpProg(const Program &Prog) {
@@ -380,27 +364,6 @@ TEST(CheckerTest, DbMergeTagAndJson) {
   EXPECT_NE(Json.find("\"total\": 2"), std::string::npos) << Json;
   EXPECT_NE(Json.find("assert-prob-safe"), std::string::npos) << Json;
   EXPECT_NE(Json.find("a.pp"), std::string::npos) << Json;
-}
-
-//===----------------------------------------------------------------------===//
-// Backend agreement: the ADD-backed BI checker must match the dense one
-//===----------------------------------------------------------------------===//
-
-TEST(CheckerTest, DenseAndAddBackendsAgree) {
-  Rng R(concrete::Interpreter::seedFromEnv(0xC0FFEE));
-  for (int Round = 0; Round != 20; ++Round) {
-    auto Prog = testgen::randomBoolProgram(R, 3, 4);
-    Stmt::Ptr A = fuzz::randomProbAssertion(R, *Prog);
-    fuzz::plantAssertion(*Prog, std::move(A),
-                         fuzz::randomInitPrologue(R, *Prog));
-    ChecksDb Dense = checkBi(*Prog);
-    ChecksDb Add = checkAddBi(*Prog);
-    ASSERT_EQ(Dense.total(), Add.total());
-    for (unsigned I = 0; I != Dense.total(); ++I)
-      EXPECT_EQ(Dense.records()[I].Code, Add.records()[I].Code)
-          << "round " << Round << "\n"
-          << toString(*Prog);
-  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,7 +7,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/LawCheck.h"
-#include "domains/AddBiDomain.h"
 #include "domains/BiDomain.h"
 #include "domains/LeiaDomain.h"
 #include "domains/MdpDomain.h"
@@ -103,49 +102,6 @@ TEST(PmaLawsTest, BiDomainSatisfiesMirroredLaws) {
     }
     In.Samples.push_back(M);
   }
-  In.Probs = sampleProbs();
-  CondPool Conds;
-  Conds.add(lang::Cond::makeBoolVar(0));
-  Conds.add(lang::Cond::makeAnd(lang::Cond::makeBoolVar(0),
-                                lang::Cond::makeBoolVar(1)));
-  Conds.add(lang::Cond::makeTrue());
-  In.Conds = Conds.Ptrs;
-
-  LawCheckOptions Opts;
-  Opts.ChoiceIsUpperBound = false; // Demonic under-abstraction.
-  auto Violations = checkPmaLaws(Dom, In, Opts);
-  EXPECT_TRUE(Violations.empty())
-      << Violations.size() << " violations, first: " << Violations.front();
-}
-
-//===----------------------------------------------------------------------===//
-// ADD-backed BI domain (§6.2): same mirrored laws as the dense BI domain.
-//===----------------------------------------------------------------------===//
-
-TEST(PmaLawsTest, AddBiDomainSatisfiesMirroredLaws) {
-  auto Prog = lang::parseProgramOrDie(R"(
-    bool a, b;
-    proc main() { skip; }
-  )");
-  BoolStateSpace Space(*Prog);
-  AddBiDomain Dom(Space, 1e-9);
-
-  auto Assign = lang::Stmt::makeAssign(0, lang::Expr::makeBool(true));
-  auto Sample = lang::Stmt::makeSample(
-      1, [] {
-        lang::Dist D;
-        D.TheKind = lang::Dist::Kind::Bernoulli;
-        D.Params.push_back(lang::Expr::makeNumber(Rational(1, 3)));
-        return D;
-      }());
-
-  LawCheckInput<AddBiDomain> In;
-  In.Samples.push_back(Dom.interpret(Assign.get()));
-  In.Samples.push_back(Dom.interpret(Sample.get()));
-  In.Samples.push_back(Dom.probChoice(Rational(1, 4),
-                                      Dom.interpret(Assign.get()), Dom.one()));
-  In.Samples.push_back(Dom.one());
-  In.Samples.push_back(Dom.bottom());
   In.Probs = sampleProbs();
   CondPool Conds;
   Conds.add(lang::Cond::makeBoolVar(0));

@@ -3,9 +3,10 @@
 // Seeded generators of random probabilistic Boolean programs, shared by the
 // differential-testing suites (tests/RandomProgramTest.cpp cross-checks
 // analysis implementations against baselines; tests/DifferentialBiTest.cpp
-// cross-checks the two BI representations across schedulers and thread
-// counts). One definition keeps the program distributions identical on both
-// sides — a fixture, not a library, so everything is header-inline.
+// cross-checks BI against the Monte-Carlo interpreter on call-heavy and
+// nondeterministic programs). One definition keeps the program
+// distributions identical on both sides — a fixture, not a library, so
+// everything is header-inline.
 //
 // Two entry points:
 //  * randomBoolProgram(R, NumVars, NumStmts) — the legacy shape: a single
@@ -290,7 +291,7 @@ randomConfiguredStmt(Rng &R, const BoolGenConfig &C,
 /// h1..hN. The plain-call graph is a DAG (main calls any helper, helper i
 /// calls only helpers j > i) plus probability-guarded self-recursion, so
 /// fixpoints exist and chaotic iteration converges without widening — the
-/// regime the BI domains are exercised in.
+/// regime the BI domain is exercised in.
 inline std::unique_ptr<lang::Program>
 randomBoolProgram(Rng &R, const BoolGenConfig &C) {
   using namespace lang;

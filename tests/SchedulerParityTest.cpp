@@ -7,10 +7,9 @@
 // single bit of the fixpoint — nor may the warm process-wide conversion
 // memos a later solve finds. The BitIdentical* tests pin that down on
 // every benchmark program of §6.2 (src/benchmarks/Programs.cpp) across
-// all four domains — BI, ADD-backed BI, MDP, and LEIA — with exact
-// comparisons (no tolerance): Matrix::operator== for BI, double == for
-// MDP, exact rational toString for LEIA, and NodeRef identity (one
-// hash-consing manager) for ADD-BI. The reference solve must also
+// all three domains — BI, MDP, and LEIA — with exact comparisons (no
+// tolerance): Matrix::operator== for BI, double == for MDP, and exact
+// rational toString for LEIA. The reference solve must also
 // converge and keep the interpret-cache invariant: Dom.interpret at most
 // once per `seq` edge, and only cache hits after that.
 //
@@ -19,15 +18,12 @@
 #include "benchmarks/Programs.h"
 #include "cfg/HyperGraph.h"
 #include "core/Solver.h"
-#include "domains/AddBiDomain.h"
 #include "domains/BiDomain.h"
 #include "domains/LeiaDomain.h"
 #include "domains/MdpDomain.h"
 #include "lang/Parser.h"
 
 #include <gtest/gtest.h>
-
-#include <type_traits>
 
 using namespace pmaf;
 using namespace pmaf::core;
@@ -53,15 +49,14 @@ template <typename MakeDomainFn, typename IdenticalFn>
 void expectBitIdentical(const char *Name, const cfg::ProgramGraph &Graph,
                         const SolverOptions &Opts, MakeDomainFn MakeDomain,
                         IdenticalFn Identical) {
-  decltype(auto) RefDom = MakeDomain();
+  auto RefDom = MakeDomain();
   auto Reference = solve(Graph, RefDom, Opts);
   ASSERT_TRUE(Reference.Stats.Converged) << Name;
   EXPECT_LE(Reference.Stats.InterpretCalls, countSeqEdges(Graph))
       << Name << ": interpret-cache invariant violated";
 
-  decltype(auto) Dom = MakeDomain();
-  CompiledProgram<std::remove_reference_t<decltype(Dom)>> Compiled(Graph,
-                                                                   Dom);
+  auto Dom = MakeDomain();
+  CompiledProgram<decltype(Dom)> Compiled(Graph, Dom);
   EXPECT_EQ(Compiled.precompile(), countSeqEdges(Graph)) << Name;
   for (const char *Run : {"precompiled", "cache-hit re-solve"}) {
     auto Result = solve(Compiled, Opts);
@@ -87,22 +82,6 @@ TEST(SchedulerParityTest, BitIdenticalBiDomain) {
     expectBitIdentical(Bench.Name, Graph, Opts,
                        [&] { return BiDomain(Space); },
                        [](const Matrix &A, const Matrix &B) { return A == B; });
-  }
-}
-
-TEST(SchedulerParityTest, BitIdenticalAddBiDomain) {
-  for (const auto &Bench : benchmarks::biPrograms()) {
-    auto Prog = lang::parseProgramOrDie(Bench.Source);
-    cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
-    BoolStateSpace Space(*Prog);
-    SolverOptions Opts;
-    Opts.UseWidening = false;
-    // One shared domain makes NodeRef identity meaningful: hash-consing
-    // gives every function one NodeRef in the manager.
-    AddBiDomain Shared(Space);
-    expectBitIdentical(Bench.Name, Graph, Opts,
-                       [&]() -> AddBiDomain & { return Shared; },
-                       [](add::NodeRef A, add::NodeRef B) { return A == B; });
   }
 }
 
