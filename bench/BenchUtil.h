@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,12 @@ struct BenchRecord {
   /// Time of one solve that started with the memo caches cleared, or
   /// negative when the bench does not measure one (the key is omitted).
   double ColdSeconds = -1.0;
+  /// For domains that extrapolate (core::Extrapolates): the candidates
+  /// offered and accepted, and whether core::isPostFixpoint holds. Unset
+  /// elsewhere, and the keys are omitted.
+  std::optional<bool> PostFixpointChecked;
+  uint64_t Extrapolations = 0;
+  uint64_t ExtrapolationsAccepted = 0;
 };
 
 /// Removes `--<name>=<value>` from argv and returns the value, or "" when
@@ -142,6 +149,14 @@ public:
             static_cast<unsigned long long>(R.ConversionCacheMisses),
             static_cast<unsigned long long>(R.Escalations),
             R.PeakGeneratorRows, R.MaxPackWidth);
+      if (R.PostFixpointChecked)
+        std::fprintf(Out,
+                     ", \"extrapolations\": %llu, "
+                     "\"extrapolations_accepted\": %llu, "
+                     "\"post_fixpoint_checked\": %s",
+                     static_cast<unsigned long long>(R.Extrapolations),
+                     static_cast<unsigned long long>(R.ExtrapolationsAccepted),
+                     *R.PostFixpointChecked ? "true" : "false");
       std::fprintf(Out, "}%s\n", I + 1 == Records.size() ? "" : ",");
     }
     std::fputs("]\n", Out);

@@ -6,7 +6,9 @@
 // (the conversion caches cleared first, as in a fresh `pmaf` process) and
 // the 20%-trimmed mean of warm re-solves that reuse its conversions. The
 // recorded counters are the cold solve's, so they depend only on the
-// program, not on which programs ran before it.
+// program, not on which programs ran before it. Each record also says
+// how many loop-head fixpoints the cold solve extrapolated and whether
+// its result passes the exact post-fixpoint check (core::isPostFixpoint).
 //
 // Flags (beyond google-benchmark's own):
 //   --numeric=poly|ladder|zones|intervals  numeric backend (default ladder)
@@ -119,8 +121,12 @@ int runTable(const std::string &JsonPath) {
       Record.Escalations = Result.Stats.Numeric.Escalations;
       Record.PeakGeneratorRows = Result.Stats.Numeric.PeakGeneratorRows;
       Record.MaxPackWidth = Result.Stats.Numeric.MaxPackWidth;
-      Json.add(std::move(Record));
+      Record.Extrapolations = Result.Stats.Extrapolations;
+      Record.ExtrapolationsAccepted = Result.Stats.ExtrapolationsAccepted;
       Box B(*Prog);
+      CompiledProgram<typename Box::DomainT> Compiled(Graph, B.Dom);
+      Record.PostFixpointChecked = isPostFixpoint(Compiled, Result.Values);
+      Json.add(std::move(Record));
       unsigned Entry = Graph.proc(Prog->findProc("main")).Entry;
       std::vector<std::string> Invariants =
           B.Dom.describeInvariants(Result.Values[Entry]);

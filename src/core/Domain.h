@@ -41,7 +41,9 @@
 
 #include <concepts>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <vector>
 
 namespace pmaf {
 namespace core {
@@ -103,6 +105,19 @@ struct NumericLayerStats {
 template <typename D>
 concept ReportsNumericStats = requires {
   { D::numericStats() } -> std::convertible_to<NumericLayerStats>;
+};
+
+/// Opt-in fixpoint extrapolation: given the last few post-widening values
+/// of one widening point, oldest first, a domain may guess that point's
+/// limit. The solver installs the guess and keeps it only if the next
+/// evaluation of the point's right-hand side lies below it (an exact
+/// `leq`), so a wrong guess costs one update and never soundness.
+template <typename D>
+concept Extrapolates = requires(const D &Dom,
+                                const std::vector<typename D::Value> &H) {
+  {
+    Dom.extrapolate(H)
+  } -> std::same_as<std::optional<typename D::Value>>;
 };
 
 } // namespace core

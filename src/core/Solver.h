@@ -32,6 +32,14 @@
 /// `old ∇ new`), convergence accounting, and the update budget. A solve
 /// runs on the calling thread.
 ///
+/// A domain that models core::Extrapolates may shortcut a widening
+/// point's chain: after each widening there, the solver offers the
+/// point's last post-widening values, installs the candidate the domain
+/// returns, and at the point's next update keeps it only if F(X)(v) ⊑
+/// candidate holds exactly; otherwise iteration goes on as before.
+/// isPostFixpoint() checks the same inequality at every node after a
+/// solve.
+///
 /// The value computed at a procedure's entry node is that procedure's
 /// summary (§2.3).
 ///
@@ -164,6 +172,11 @@ struct SolverStats {
   uint64_t NodesReused = 0;
   uint64_t SccsSkipped = 0;
   uint64_t SccsResolved = 0;
+  /// Fixpoint candidates a core::Extrapolates domain offered at widening
+  /// points, and how many of them the exact check accepted (zero for
+  /// every other domain).
+  uint64_t Extrapolations = 0;
+  uint64_t ExtrapolationsAccepted = 0;
   /// False iff the update budget (MaxUpdates) ran out first, in which
   /// case Values is a mid-iteration snapshot, not a post-fixpoint —
   /// callers must not report it as the analysis answer.
@@ -229,6 +242,18 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
   std::vector<unsigned> UpdateCount(NumNodes, 0);
   SolverStats &Stats = Result.Stats;
 
+  // Extrapolation, for core::Extrapolates domains only (the vectors stay
+  // empty otherwise): the last post-widening values of each widening
+  // point, oldest first, and the points whose value is a candidate
+  // awaiting its exact check.
+  constexpr size_t MaxHistory = 6;
+  std::vector<std::vector<Value>> History;
+  std::vector<char> Candidate;
+  if constexpr (Extrapolates<D>) {
+    History.resize(NumNodes);
+    Candidate.assign(NumNodes, 0);
+  }
+
   // The worklist: Dirty[p] flags the node at WTO position p. Every node
   // starts dirty, and no dirty position lies below Cursor, so scanning up
   // from it pops the dirty node earliest in the WTO.
@@ -252,6 +277,19 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
     }
     ++Stats.NodeUpdates;
     Value New = Compiled.evalRhs(V, Result.Values);
+    bool Install = false;
+    if constexpr (Extrapolates<D>) {
+      // The candidate's check: F(X)(V) ⊑ X(V), exactly. It holds, so the
+      // candidate stands and nothing V feeds changes; or it fails, and
+      // V widens from the candidate as from any other value.
+      if (Candidate[V]) {
+        Candidate[V] = 0;
+        if (Dom.leq(New, Result.Values[V])) {
+          ++Stats.ExtrapolationsAccepted;
+          continue;
+        }
+      }
+    }
     if (Opts.UseWidening && Order.WideningPoint[V] &&
         UpdateCount[V] >= Opts.WideningDelay) {
       ++Stats.WideningApplications;
@@ -281,9 +319,22 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
         New = Dom.widenCall(Old, New);
         break;
       }
+      if constexpr (Extrapolates<D>) {
+        std::vector<Value> &H = History[V];
+        if (H.size() == MaxHistory)
+          H.erase(H.begin());
+        H.push_back(New);
+        if (std::optional<Value> Guess = Dom.extrapolate(H)) {
+          ++Stats.Extrapolations;
+          H.clear();
+          Candidate[V] = 1;
+          New = std::move(*Guess);
+          Install = true;
+        }
+      }
     }
     ++UpdateCount[V];
-    if (Dom.equal(Result.Values[V], New))
+    if (!Install && Dom.equal(Result.Values[V], New))
       continue;
     Result.Values[V] = std::move(New);
     for (unsigned W : Compiled.dependents()[V]) {
@@ -346,6 +397,22 @@ AnalysisResult<typename D::Value> solve(const cfg::ProgramGraph &Graph,
                                         const SolverOptions &Opts = {}) {
   CompiledProgram<D> Compiled(Graph, Dom);
   return solve(Compiled, Opts);
+}
+
+/// The certificate of a solution: one exact pass confirming
+/// Dom.leq(F(X)(v), X(v)) at every non-exit node (exit nodes hold 1 by
+/// construction). For an over-approximating domain a post-fixpoint bounds
+/// the least fixpoint (Thm 4.6); a value vector that stopped on the
+/// approximate `equal` need not be one.
+template <PreMarkovAlgebra D>
+bool isPostFixpoint(CompiledProgram<D> &Compiled,
+                    const std::vector<typename D::Value> &Values) {
+  const cfg::ProgramGraph &Graph = Compiled.graph();
+  for (unsigned V = 0; V != Graph.numNodes(); ++V)
+    if (Graph.outgoing(V) &&
+        !Compiled.domain().leq(Compiled.evalRhs(V, Values), Values[V]))
+      return false;
+  return true;
 }
 
 } // namespace core

@@ -462,12 +462,26 @@ bool LeiaDomainT<NumV>::equal(const Value &A, const Value &B) const {
     return A.P.isEmpty() == B.P.isEmpty();
   // Approximate mutual inclusion (§6.1-style convergence): expectation
   // chains of probabilistic loops converge geometrically and are cut off
-  // once successive iterates agree to the configured tolerance.
+  // once successive iterates agree to the configured tolerance. The EPs
+  // are compared as well as their cones: the tolerance scales with the
+  // rows' norms, and a cone row built from a rounded EP can carry
+  // coefficients so large that the term telling two iterates apart
+  // vanishes beside them.
   return A.P.containsApprox(B.P, Tolerance) &&
          B.P.containsApprox(A.P, Tolerance) &&
+         A.EP.containsApprox(B.EP, Tolerance) &&
+         B.EP.containsApprox(A.EP, Tolerance) &&
          A.ECone.containsApprox(B.ECone, Tolerance) &&
          B.ECone.containsApprox(A.ECone, Tolerance);
 }
+
+namespace {
+
+/// Bits per coefficient the probabilistic and call widenings keep of an EP
+/// row (§6.1's finite-precision device, Polyhedron::roundedCoefficients).
+constexpr unsigned RoundingBits = 40;
+
+} // namespace
 
 template <NumericDomain NumV>
 auto LeiaDomainT<NumV>::widenCond(const Value &Old, const Value &New) const
@@ -486,7 +500,7 @@ auto LeiaDomainT<NumV>::widenProb(const Value &Old, const Value &New) const
   // point every loop iterate flows through — keeps the exact-rational
   // coefficients bounded without perturbing downstream operations
   // inconsistently. The 2^-40 grid is far below the 1e-9 stop tolerance.
-  return canonicalize(std::move(P), New.EP.roundedCoefficients(40));
+  return canonicalize(std::move(P), New.EP.roundedCoefficients(RoundingBits));
 }
 
 template <NumericDomain NumV>
@@ -499,7 +513,281 @@ template <NumericDomain NumV>
 auto LeiaDomainT<NumV>::widenCall(const Value &Old, const Value &New) const
     -> Value {
   NumV P = Old.P.widen(New.P);
-  return canonicalize(std::move(P), New.EP.roundedCoefficients(40));
+  return canonicalize(std::move(P), New.EP.roundedCoefficients(RoundingBits));
+}
+
+//===----------------------------------------------------------------------===//
+// Extrapolation
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using Row = std::vector<Rational>;
+
+/// Gauss-Jordan elimination of \p M in place over its first \p PivotCols
+/// columns (the rest ride along): every pivot becomes 1, alone in its
+/// column. \returns the pivot columns, one per leading row of the result;
+/// the remaining rows are zero in the first PivotCols columns.
+std::vector<unsigned> rowReduce(std::vector<Row> &M, unsigned PivotCols) {
+  std::vector<unsigned> Pivots;
+  for (unsigned Col = 0; Col != PivotCols && Pivots.size() != M.size();
+       ++Col) {
+    const size_t Top = Pivots.size();
+    size_t R = Top;
+    while (R != M.size() && M[R][Col].isZero())
+      ++R;
+    if (R == M.size())
+      continue;
+    std::swap(M[R], M[Top]);
+    const Rational Inv = Rational(1) / M[Top][Col];
+    for (Rational &X : M[Top])
+      X *= Inv;
+    for (size_t Other = 0; Other != M.size(); ++Other) {
+      if (Other == Top || M[Other][Col].isZero())
+        continue;
+      const Rational F = M[Other][Col];
+      for (size_t J = Col; J != M[Other].size(); ++J)
+        M[Other][J] -= F * M[Top][J];
+    }
+    Pivots.push_back(Col);
+  }
+  return Pivots;
+}
+
+/// An EP constraint system in the form extrapolation compares across
+/// iterates. Columns are the E-vocabulary, then the pre-state, then the
+/// constant. Equalities are in reduced row echelon form; inequalities are
+/// reduced modulo them, scaled so their leading coefficient is ±1, and
+/// sorted by (leading column, sign). Two forms are comparable entry by
+/// entry iff their Shapes (those pivots and keys) agree.
+struct CanonicalEp {
+  std::vector<Row> Eqs, Ges;
+  std::vector<unsigned> Shape;
+};
+
+std::optional<CanonicalEp> canonicalEp(const std::vector<Constraint> &Cons,
+                                       unsigned N) {
+  const unsigned Vars = 2 * N; // Column Vars is the constant.
+  std::vector<Row> Eqs, Ges;
+  for (const Constraint &C : Cons) {
+    Row R(Vars + 1);
+    for (unsigned I = 0; I != N; ++I) {
+      R[I] = C.Expr.coeff(N + I);
+      R[N + I] = C.Expr.coeff(I);
+    }
+    R[Vars] = C.Expr.constantTerm();
+    (C.TheKind == Constraint::Kind::Eq ? Eqs : Ges).push_back(std::move(R));
+  }
+  CanonicalEp Out;
+  const std::vector<unsigned> Pivots = rowReduce(Eqs, Vars);
+  for (size_t R = Pivots.size(); R != Eqs.size(); ++R)
+    if (!Eqs[R][Vars].isZero())
+      return std::nullopt; // 0 == c: an empty set has no shape.
+  Eqs.resize(Pivots.size());
+  Out.Shape = Pivots;
+  std::vector<std::pair<unsigned, Row>> Keyed;
+  for (Row &G : Ges) {
+    for (size_t E = 0; E != Eqs.size(); ++E) {
+      const Rational F = G[Pivots[E]];
+      if (F.isZero())
+        continue;
+      for (unsigned J = 0; J != Vars + 1; ++J)
+        G[J] -= F * Eqs[E][J];
+    }
+    unsigned Lead = 0;
+    while (Lead != Vars && G[Lead].isZero())
+      ++Lead;
+    if (Lead == Vars)
+      continue; // A constant row says nothing about the iterate.
+    const Rational Scale = Rational(1) / G[Lead].abs();
+    for (Rational &X : G)
+      X *= Scale;
+    Keyed.emplace_back(2 * Lead + (G[Lead].sign() < 0), std::move(G));
+  }
+  std::sort(Keyed.begin(), Keyed.end(),
+            [](const auto &A, const auto &B) { return A.first < B.first; });
+  for (size_t I = 0; I != Keyed.size(); ++I) {
+    if (I && Keyed[I].first == Keyed[I - 1].first)
+      return std::nullopt; // Two rows one key: no way to pair them up.
+    Out.Shape.push_back(Vars + 1 + Keyed[I].first);
+    Out.Ges.push_back(std::move(Keyed[I].second));
+  }
+  Out.Eqs = std::move(Eqs);
+  return Out;
+}
+
+/// Whether a coefficient of \p Cons has reached the widenings' rounding
+/// grid: the row has been rounded, or its successor will be, so no exact
+/// recurrence runs through it.
+bool atRoundingGrid(const std::vector<Constraint> &Cons) {
+  auto Wide = [](const Rational &R) {
+    return R.numerator().bitLength() >= RoundingBits ||
+           R.denominator().bitLength() >= RoundingBits;
+  };
+  for (const Constraint &C : Cons) {
+    if (Wide(C.Expr.constantTerm()))
+      return true;
+    for (unsigned I = 0; I != C.Expr.dim(); ++I)
+      if (Wide(C.Expr.coeff(I)))
+        return true;
+  }
+  return false;
+}
+
+/// Every entry of \p F, equalities first.
+Row flatten(const CanonicalEp &F) {
+  Row Out;
+  for (const std::vector<Row> *Rows : {&F.Eqs, &F.Ges})
+    for (const Row &R : *Rows)
+      Out.insert(Out.end(), R.begin(), R.end());
+  return Out;
+}
+
+/// Whether every root of t^d + C[d-1] t^(d-1) + ... + C[0] (d = C.size()
+/// - 1 <= 3) lies strictly inside the unit circle: Jury's conditions,
+/// exactly. Only then do the iterates converge, to the fixpoint MPE
+/// computes; a recurrence that moves away from its fixpoint has no limit.
+bool schurStable(const Row &C) {
+  const Rational One(1);
+  const Rational &A0 = C[0];
+  if (!(A0.abs() < One))
+    return false;
+  switch (C.size() - 1) {
+  case 1:
+    return true;
+  case 2:
+    return C[1].abs() < One + A0;
+  default: {
+    const Rational &A1 = C[1], &A2 = C[2];
+    return One + A2 + A1 + A0 > Rational(0) &&
+           One - A2 + A1 - A0 > Rational(0) &&
+           One - A0 * A0 > (A0 * A2 - A1).abs();
+  }
+  }
+}
+
+/// Minimal polynomial extrapolation of the sequence \p V (oldest first),
+/// exactly. For a linear iteration v' = A v + b, the differences obey
+/// Σ c_i Δ_{j+i} = 0 for the coefficients c of the minimal polynomial of
+/// A (c_d = 1), and then Σ c_i v_{j+i} / Σ c_i is its fixpoint. Degrees
+/// d = 1..3 are tried in turn; a degree counts only if the system over
+/// every window j is consistent, pins c uniquely and still has an
+/// equation to spare — the spare equation is what a sequence that is not
+/// linear (or was rounded) fails — and the recurrence converges.
+/// \returns the weights of the newest d + 1 vectors, already divided by
+/// Σ c_i.
+std::optional<Row> mpeWeights(const std::vector<Row> &V) {
+  std::vector<Row> Delta;
+  bool Moving = false;
+  for (size_t K = 0; K + 1 != V.size(); ++K) {
+    Row D(V[K].size());
+    for (size_t I = 0; I != D.size(); ++I) {
+      D[I] = V[K + 1][I] - V[K][I];
+      Moving |= !D[I].isZero();
+    }
+    Delta.push_back(std::move(D));
+  }
+  if (!Moving)
+    return std::nullopt;
+  const size_t Len = V.front().size();
+  for (size_t Deg = 1; Deg <= 3 && Deg + 2 <= V.size(); ++Deg) {
+    // Unknowns c_0..c_{d-1}; one equation per window and entry:
+    // Σ_{i<d} c_i Δ_{j+i}[r] = -Δ_{j+d}[r].
+    std::vector<Row> Sys;
+    for (size_t J = 0; J + Deg != Delta.size(); ++J)
+      for (size_t R = 0; R != Len; ++R) {
+        Row Eq(Deg + 1);
+        bool Nonzero = false;
+        for (size_t I = 0; I != Deg; ++I) {
+          Eq[I] = Delta[J + I][R];
+          Nonzero |= !Eq[I].isZero();
+        }
+        Eq[Deg] = -Delta[J + Deg][R];
+        Nonzero |= !Eq[Deg].isZero();
+        if (Nonzero)
+          Sys.push_back(std::move(Eq));
+      }
+    const size_t Equations = Sys.size();
+    const std::vector<unsigned> Pivots =
+        rowReduce(Sys, static_cast<unsigned>(Deg));
+    if (Pivots.size() != Deg || Equations <= Deg)
+      continue;
+    bool Consistent = true;
+    for (size_t R = Deg; R != Sys.size() && Consistent; ++R)
+      Consistent = Sys[R][Deg].isZero();
+    if (!Consistent)
+      continue;
+    Row C(Deg + 1);
+    Rational Sum(1);
+    C[Deg] = Rational(1);
+    for (size_t I = 0; I != Deg; ++I) {
+      C[I] = Sys[I][Deg];
+      Sum += C[I];
+    }
+    if (!schurStable(C))
+      continue;
+    for (Rational &X : C)
+      X /= Sum;
+    return C;
+  }
+  return std::nullopt;
+}
+
+} // namespace
+
+template <NumericDomain NumV>
+auto LeiaDomainT<NumV>::extrapolate(const std::vector<Value> &History) const
+    -> std::optional<Value> {
+  // The longest suffix of exact iterates whose EPs share one shape.
+  std::vector<CanonicalEp> Forms;
+  for (auto It = History.rbegin(); It != History.rend(); ++It) {
+    if (It->P.isEmpty())
+      break;
+    const std::vector<Constraint> Cons = It->EP.constraintList();
+    if (atRoundingGrid(Cons))
+      break;
+    std::optional<CanonicalEp> F = canonicalEp(Cons, NumVars);
+    if (!F || (!Forms.empty() && F->Shape != Forms.front().Shape))
+      break;
+    Forms.push_back(std::move(*F));
+  }
+  if (Forms.size() < 3)
+    return std::nullopt;
+  std::reverse(Forms.begin(), Forms.end());
+  std::vector<Row> Vectors;
+  for (const CanonicalEp &F : Forms)
+    Vectors.push_back(flatten(F));
+  std::optional<Row> Weights = mpeWeights(Vectors);
+  if (!Weights)
+    return std::nullopt;
+
+  // The limit, row by row: Σ w_i · (row of the i-th newest iterate).
+  const size_t First = Forms.size() - Weights->size();
+  const unsigned D = 2 * NumVars;
+  std::vector<Constraint> Cons;
+  auto Limit = [&](bool Eq, size_t Index) {
+    Constraint C{LinearExpr(D), Eq ? Constraint::Kind::Eq
+                                   : Constraint::Kind::Ge};
+    for (size_t I = 0; I != Weights->size(); ++I) {
+      const CanonicalEp &F = Forms[First + I];
+      const Row &R = Eq ? F.Eqs[Index] : F.Ges[Index];
+      const Rational &W = (*Weights)[I];
+      for (unsigned J = 0; J != NumVars; ++J) {
+        C.Expr.coeff(NumVars + J) += W * R[J];
+        C.Expr.coeff(J) += W * R[NumVars + J];
+      }
+      C.Expr.constantTerm() += W * R[D];
+    }
+    Cons.push_back(std::move(C));
+  };
+  for (size_t E = 0; E != Forms.back().Eqs.size(); ++E)
+    Limit(true, E);
+  for (size_t G = 0; G != Forms.back().Ges.size(); ++G)
+    Limit(false, G);
+  NumV EP = NumV::fromConstraints(D, Cons);
+  if (EP.isEmpty())
+    return std::nullopt;
+  return canonicalize(History.back().P, std::move(EP));
 }
 
 //===----------------------------------------------------------------------===//

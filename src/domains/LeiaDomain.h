@@ -24,8 +24,11 @@
 /// the affine combination E = p·x'' + (1-p)·x''' through two fresh
 /// vocabularies; nondeterministic-choice joins. Widening is per §5.3:
 /// conditional and nondeterministic loops rebuild EP from the widened P;
-/// probabilistic loops do no EP extrapolation, relying on the
-/// finite-precision convergence mechanism of §6.1 (roundedCoefficients).
+/// probabilistic loops do no EP extrapolation in the widening, relying on
+/// the finite-precision convergence mechanism of §6.1
+/// (roundedCoefficients). Beside the widening, extrapolate() offers the
+/// solver the exact limit of a loop head's EP chain when its iterates
+/// follow a linear recurrence; the solver keeps it only on an exact check.
 ///
 /// The domain is a template over the numeric backend NumV
 /// (poly/NumericDomain.h): monolithic polyhedra reproduce the original
@@ -111,6 +114,14 @@ public:
   /// from the §6.1 finite-precision mechanism, and any stabilized value is
   /// a sound prefixed point (Thm 4.6).
   Value widenCall(const Value &Old, const Value &New) const;
+
+  /// The limit of a widening point's iterates \p History (oldest first),
+  /// if their EPs follow a linear recurrence exactly (core::Extrapolates):
+  /// minimal polynomial extrapolation over the canonical EP rows of the
+  /// longest suffix of one shape, in exact rationals, with the newest
+  /// iterate's P. Rounded iterates or changing shapes give nullopt, as
+  /// does a non-linear chain such as a procedure calling itself twice.
+  std::optional<Value> extrapolate(const std::vector<Value> &History) const;
 
   std::string toString(const Value &A) const;
 
@@ -210,6 +221,8 @@ static_assert(core::PreMarkovAlgebra<LeiaDomainT<poly::Intervals>>,
               "LEIA over intervals must satisfy the PMA interface");
 static_assert(core::ReportsNumericStats<LeiaDomain>,
               "LEIA must report numeric-layer stats to the solver");
+static_assert(core::Extrapolates<LeiaDomain>,
+              "LEIA must offer the solver extrapolated fixpoints");
 
 } // namespace domains
 } // namespace pmaf

@@ -71,10 +71,15 @@ Json reuseToJson(const IncrementalReuse &Reuse) {
   return R;
 }
 
-Json statsToJson(const core::SolverStats &S) {
+/// \p Extrapolating adds the counters only domains that extrapolate keep.
+Json statsToJson(const core::SolverStats &S, bool Extrapolating) {
   Json R = Json::object();
   R.set("node_updates", Json::number(S.NodeUpdates));
   R.set("widenings", Json::number(S.WideningApplications));
+  if (Extrapolating) {
+    R.set("extrapolations", Json::number(S.Extrapolations));
+    R.set("extrapolations_accepted", Json::number(S.ExtrapolationsAccepted));
+  }
   R.set("interpret_calls", Json::number(S.InterpretCalls));
   R.set("interpret_cache_hits", Json::number(S.InterpretCacheHits));
   Json Numeric = Json::object();
@@ -390,7 +395,10 @@ std::string Daemon::handle(const std::string &Payload, bool &Shutdown) {
     R.set("fingerprint", Json::string(AR.Fingerprint));
     R.set("solve_seconds", Json::number(AR.SolveSeconds));
     R.set("reuse", reuseToJson(AR.Reuse));
-    R.set("stats", statsToJson(AR.Stats));
+    if (AR.PostFixpointChecked)
+      R.set("post_fixpoint_checked", Json::boolean(*AR.PostFixpointChecked));
+    R.set("stats",
+          statsToJson(AR.Stats, AR.PostFixpointChecked.has_value()));
     if (!AR.ChecksJson.empty())
       R.set("checks", Json::raw(AR.ChecksJson));
     if (!AR.DiagnosticsJson.empty())

@@ -298,6 +298,9 @@ public:
 
     Reply.Stats = Result.Stats;
     Reply.Converged = Result.Stats.Converged;
+    if constexpr (core::Extrapolates<D>)
+      Reply.PostFixpointChecked =
+          core::isPostFixpoint(*Compiled, Result.Values);
     Reply.Reuse.Incremental = UseWarm;
     Reply.Reuse.TransformersReused = Compiled->seededTransformers();
     Reply.Reuse.TransformersTotal = countSeqEdges(*Graph);

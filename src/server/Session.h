@@ -103,6 +103,9 @@ struct AnalyzeReply {
   /// Structured check diagnostics (DiagnosticEngine::renderJson).
   std::string DiagnosticsJson;
   core::SolverStats Stats;
+  /// Whether one exact pass confirms F(X) ⊑ X at every node
+  /// (core::isPostFixpoint); set for the domains that extrapolate (LEIA).
+  std::optional<bool> PostFixpointChecked;
   IncrementalReuse Reuse;
   /// Wall-clock seconds of the solve itself.
   double SolveSeconds = 0.0;

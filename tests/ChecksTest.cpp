@@ -75,19 +75,15 @@ ChecksDb checkMdpProg(const Program &Prog) {
   return checkMdp(Graph, Result.Values, COpts);
 }
 
-/// LEIA solve + check under a chosen numeric backend. The deterministic
-/// tests run both the shipped ladder and zones; the fuzz loop sticks to
-/// zones — a rare random loop program drives the ladder's polyhedra
-/// escalation into multi-minute joins, while zones stays relational at
-/// polynomial cost, and the soundness argument is backend-independent
-/// (same reason `pmaf verify-corpus` solves its LEIA files on zones).
-template <typename NumV> ChecksDb checkLeiaProg(const Program &Prog) {
+/// LEIA solve + check under a chosen numeric backend. The default update
+/// budget is `pmaf verify-corpus`'s: a non-converged solve degrades
+/// verdicts to WARNING, which the soundness oracle accepts.
+template <typename NumV>
+ChecksDb checkLeiaProg(const Program &Prog, uint64_t MaxUpdates = 200000) {
   cfg::ProgramGraph Graph = cfg::ProgramGraph::build(Prog);
   LeiaDomainT<NumV> Dom(Prog);
   SolverOptions Opts;
-  // Same update budget as `pmaf verify-corpus`: a non-converged solve
-  // degrades verdicts to WARNING, which the soundness oracle accepts.
-  Opts.MaxUpdates = 200000;
+  Opts.MaxUpdates = MaxUpdates;
   auto Result = solve(Graph, Dom, Opts);
   CheckerOptions COpts;
   COpts.Converged = Result.Stats.Converged;
@@ -429,15 +425,28 @@ TEST(SoundnessFuzzTest, IntervalAssertionsLeia) {
     const Stmt *Planted = A.get();
     fuzz::plantAssertion(*Prog, std::move(A),
                          fuzz::randomInitPrologue(R, *Prog));
-    ChecksDb Db = checkLeiaProg<poly::Zones>(*Prog);
-    ASSERT_EQ(Db.total(), 1u);
     fuzz::GroundTruth GT =
         fuzz::estimateGroundTruth(*Prog, *Planted, Seed + Round, Runs);
-    EXPECT_EQ(fuzz::soundnessViolation(*Planted, Db.records()[0].TheVerdict,
-                                       GT, fuzzTol(*Planted, Runs)),
-              "")
-        << "round " << Round << " (" << Db.records()[0].Code << ")\n"
-        << toString(*Prog);
+    // Zones is the backend verify-corpus runs, the ladder the one `pmaf`
+    // runs by default. The ladder gets 60 updates. Under the default seed
+    // every round converges within 50 but two, which run long on the
+    // ladder and come out unproved: round 6 nests two probabilistic loops
+    // and needs 2,737 updates (3 s), and round 14's loop over a
+    // conditional gains EP facets at every iteration, so each update
+    // costs more than the last (0.5 s at 60 updates, 64 s at 120). See
+    // ROADMAP's Newton item.
+    for (const auto &[Backend, Db] :
+         {std::pair{"zones", checkLeiaProg<poly::Zones>(*Prog)},
+          std::pair{"ladder", checkLeiaProg<poly::LadderValue>(*Prog, 60)}}) {
+      ASSERT_EQ(Db.total(), 1u) << Backend;
+      EXPECT_EQ(fuzz::soundnessViolation(*Planted,
+                                         Db.records()[0].TheVerdict, GT,
+                                         fuzzTol(*Planted, Runs)),
+                "")
+          << Backend << " round " << Round << " (" << Db.records()[0].Code
+          << ")\n"
+          << toString(*Prog);
+    }
   }
 }
 

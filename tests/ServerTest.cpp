@@ -576,6 +576,39 @@ TEST(DaemonTest, LoadsEveryDomainOfTheTable) {
   D.wait();
 }
 
+TEST(DaemonTest, LeiaRepliesCarryTheCertificate) {
+  server::Daemon D;
+  std::string Error;
+  ASSERT_TRUE(D.start(Error)) << Error;
+  {
+    TestClient C(D.port());
+    C.request(R"({"cmd":"load","session":"leia","source":)"
+              R"("real x; proc main() { while prob(1/2) { x := x + 1; } }"})");
+    server::Json Leia = C.request(R"({"cmd":"analyze","session":"leia"})");
+    ASSERT_TRUE(Leia.get("ok") && Leia.get("ok")->asBool());
+    ASSERT_TRUE(Leia.get("post_fixpoint_checked"));
+    EXPECT_TRUE(Leia.get("post_fixpoint_checked")->asBool());
+    const server::Json *Stats = Leia.get("stats");
+    ASSERT_TRUE(Stats && Stats->get("extrapolations") &&
+                Stats->get("extrapolations_accepted"));
+    EXPECT_EQ(Stats->get("extrapolations")->asUnsigned(),
+              std::optional<uint64_t>(1));
+    EXPECT_EQ(Stats->get("extrapolations_accepted")->asUnsigned(),
+              std::optional<uint64_t>(1));
+
+    // Domains that do not extrapolate reply as they always did.
+    C.request(R"({"cmd":"load","session":"bi","source":)"
+              R"("bool a; proc main() { a ~ bernoulli(1/2); }"})");
+    server::Json Bi = C.request(R"({"cmd":"analyze","session":"bi"})");
+    ASSERT_TRUE(Bi.get("ok") && Bi.get("ok")->asBool());
+    EXPECT_FALSE(Bi.get("post_fixpoint_checked"));
+    ASSERT_TRUE(Bi.get("stats"));
+    EXPECT_FALSE(Bi.get("stats")->get("extrapolations"));
+  }
+  D.requestStop();
+  D.wait();
+}
+
 TEST(DaemonTest, InputsPastTheBoundsAreRejectedAndTheDaemonServesOn) {
   server::Daemon D;
   std::string Error;

@@ -55,6 +55,26 @@ public:
 };
 
 static_assert(PreMarkovAlgebra<ReachDomain>);
+static_assert(!Extrapolates<ReachDomain>);
+
+/// ReachDomain offering \p Guess once, at the first widening: the solver
+/// must keep it only if the next evaluation lies below it.
+class GuessingReachDomain : public ReachDomain {
+public:
+  explicit GuessingReachDomain(double Guess) : Guess(Guess) {}
+  std::optional<Value> extrapolate(const std::vector<Value> &) const {
+    if (Offered)
+      return std::nullopt;
+    Offered = true;
+    return Guess;
+  }
+
+private:
+  double Guess;
+  mutable bool Offered = false;
+};
+
+static_assert(Extrapolates<GuessingReachDomain>);
 
 double mainReach(const char *Source, SolverStats *StatsOut = nullptr) {
   auto Prog = lang::parseProgramOrDie(Source);
@@ -215,6 +235,51 @@ TEST(SolverTest, StatsRecordSolveLifecycle) {
   EXPECT_EQ(Stats.NodesReused, 0u);
   EXPECT_EQ(Stats.SccsSkipped, 0u);
   EXPECT_EQ(Stats.SccsResolved, 1u);
+  EXPECT_EQ(Stats.Extrapolations, 0u);
+  EXPECT_EQ(Stats.ExtrapolationsAccepted, 0u);
+}
+
+TEST(SolverTest, ExtrapolatedCandidateNeedsTheExactCheck) {
+  // while prob(1/2) skip: the loop head's least fixpoint is 1. A guess at
+  // it passes the check (F(1) = 1) and ends the chain at once; a guess
+  // below it (F(1/4) = 5/8) is rejected and the chain goes on to 1.
+  auto Prog = lang::parseProgramOrDie(R"(
+    proc main() { while prob(1/2) { skip; } }
+  )");
+  cfg::ProgramGraph G = cfg::ProgramGraph::build(*Prog);
+  const unsigned Entry = G.proc(0).Entry;
+  ReachDomain Plain;
+  auto Iterated = solve(G, Plain);
+
+  GuessingReachDomain Right(1.0);
+  CompiledProgram<GuessingReachDomain> RightC(G, Right);
+  auto Shortcut = solve(RightC);
+  EXPECT_EQ(Shortcut.Stats.Extrapolations, 1u);
+  EXPECT_EQ(Shortcut.Stats.ExtrapolationsAccepted, 1u);
+  EXPECT_EQ(Shortcut.Values[Entry], 1.0);
+  EXPECT_LT(Shortcut.Stats.NodeUpdates, Iterated.Stats.NodeUpdates);
+  EXPECT_TRUE(isPostFixpoint(RightC, Shortcut.Values));
+
+  GuessingReachDomain Low(0.25);
+  auto Rejected = solve(G, Low);
+  EXPECT_EQ(Rejected.Stats.Extrapolations, 1u);
+  EXPECT_EQ(Rejected.Stats.ExtrapolationsAccepted, 0u);
+  EXPECT_TRUE(Rejected.Stats.Converged);
+  EXPECT_NEAR(Rejected.Values[Entry], Iterated.Values[Entry], 1e-9);
+}
+
+TEST(SolverTest, PostFixpointCertificate) {
+  // A solved system passes; a vector pushed below the fixpoint does not.
+  auto Prog = lang::parseProgramOrDie(R"(
+    proc main() { if prob(1/2) { skip; } else { skip; } }
+  )");
+  cfg::ProgramGraph G = cfg::ProgramGraph::build(*Prog);
+  ReachDomain Dom;
+  CompiledProgram<ReachDomain> Compiled(G, Dom);
+  auto Result = solve(Compiled);
+  EXPECT_TRUE(isPostFixpoint(Compiled, Result.Values));
+  Result.Values[G.proc(0).Entry] = 0.5;
+  EXPECT_FALSE(isPostFixpoint(Compiled, Result.Values));
 }
 
 TEST(SolverTest, UnreachableProcedureStillAnalyzed) {

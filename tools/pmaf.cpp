@@ -42,7 +42,10 @@
 // worklist in WTO order (core/Solver.h). --stats prints the settings the
 // domain uses, the solve's counters (core::SolverStats) including the
 // interpret-cache traffic and the numeric-layer counters, and the wall
-// clock of the solve.
+// clock of the solve. For LEIA the solver line also counts the
+// extrapolated loop-head fixpoints (offered / accepted by the exact
+// check) and says whether one exact pass confirms F(X) ⊑ X at every node
+// (core::isPostFixpoint).
 //
 // Every solve is followed by the checker layer (checks/Checker.h): each
 // `assert_prob` / `assert_reward` / `assert_interval` statement is judged
@@ -149,10 +152,12 @@ struct AnalyzeConfig {
   /// Prints one solve's check verdicts, its --stats report, and a warning
   /// when the update budget ran out (the printed values are then only a
   /// mid-iteration snapshot); returns the exit code. \p Leia says whether
-  /// the domain runs on a numeric backend.
+  /// the domain runs on a numeric backend; \p PostFixpoint is the solve's
+  /// certificate, for the domains that extrapolate.
   int finish(const checks::ChecksDb &Db, const std::string &Path,
              const std::string &Source, const SolverOptions &Opts, bool Leia,
-             const core::SolverStats &SolveStats, double SolveSeconds) const {
+             const core::SolverStats &SolveStats, double SolveSeconds,
+             std::optional<bool> PostFixpoint) const {
     DiagnosticEngine Diags;
     Diags.setSource(Path, Source);
     Diags.setWarningsAsErrors(Werror);
@@ -168,7 +173,7 @@ struct AnalyzeConfig {
       }
     }
     if (Stats)
-      printStats(Opts, Leia, SolveStats, SolveSeconds);
+      printStats(Opts, Leia, SolveStats, SolveSeconds, PostFixpoint);
     if (!SolveStats.Converged)
       std::fprintf(stderr,
                    "warning: analysis did not converge: the update budget "
@@ -181,7 +186,8 @@ struct AnalyzeConfig {
   /// The --stats report: the settings the domain uses, then the solve's
   /// counters and its wall clock.
   static void printStats(const SolverOptions &Opts, bool Leia,
-                         const core::SolverStats &S, double SolveSeconds) {
+                         const core::SolverStats &S, double SolveSeconds,
+                         std::optional<bool> PostFixpoint) {
     auto U = [](uint64_t N) { return static_cast<unsigned long long>(N); };
     std::printf("; settings: ");
     if (Opts.UseWidening)
@@ -194,11 +200,16 @@ struct AnalyzeConfig {
       std::printf("; NOT CONVERGED: update budget exhausted after %llu "
                   "updates\n",
                   U(S.NodeUpdates));
-    std::printf("; solver: %llu updates, %llu widenings, converged=%s\n"
+    std::printf("; solver: %llu updates, %llu widenings, ", U(S.NodeUpdates),
+                U(S.WideningApplications));
+    if (PostFixpoint)
+      std::printf("%llu extrapolations (%llu accepted), post-fixpoint=%s, ",
+                  U(S.Extrapolations), U(S.ExtrapolationsAccepted),
+                  *PostFixpoint ? "yes" : "no");
+    std::printf("converged=%s\n"
                 "; interpret cache: %llu misses (= distinct seq edges "
                 "evaluated), %llu hits\n"
                 "; wall clock: %.6f s\n",
-                U(S.NodeUpdates), U(S.WideningApplications),
                 S.Converged ? "yes" : "NO", U(S.InterpretCalls),
                 U(S.InterpretCacheHits), SolveSeconds);
     const core::NumericLayerStats &N = S.Numeric;
@@ -703,17 +714,22 @@ int main(int argc, char **argv) {
         Box::preset(Opts);
         Config.apply(Opts);
         const auto Start = std::chrono::steady_clock::now();
-        auto Result = solve(Graph, B.Dom, Opts);
+        core::CompiledProgram<typename Box::DomainT> Compiled(Graph, B.Dom);
+        auto Result = solve(Compiled, Opts);
         const double SolveSeconds = std::chrono::duration<double>(
                                         std::chrono::steady_clock::now() -
                                         Start)
                                         .count();
         std::printf("%s",
                     driver::render(B, Prog, Graph, Result.Values).c_str());
+        std::optional<bool> PostFixpoint;
+        if constexpr (core::Extrapolates<typename Box::DomainT>)
+          if (Config.Stats)
+            PostFixpoint = core::isPostFixpoint(Compiled, Result.Values);
         checks::CheckerOptions COpts;
         COpts.Converged = Result.Stats.Converged;
         return Config.finish(B.check(Graph, Result.Values, COpts), Path,
                              Source, Opts, Domain == "leia", Result.Stats,
-                             SolveSeconds);
+                             SolveSeconds, PostFixpoint);
       });
 }
