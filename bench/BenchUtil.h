@@ -19,6 +19,8 @@
 #ifndef PMAF_BENCH_BENCHUTIL_H
 #define PMAF_BENCH_BENCHUTIL_H
 
+#include "support/JsonEscape.h"
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -166,11 +168,7 @@ public:
 private:
   static std::string escape(const std::string &S) {
     std::string Out;
-    for (char C : S) {
-      if (C == '"' || C == '\\')
-        Out += '\\';
-      Out += C;
-    }
+    support::appendJsonEscaped(Out, S);
     return Out;
   }
 

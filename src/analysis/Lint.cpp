@@ -50,44 +50,6 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Constant folding
-  //===--------------------------------------------------------------------===//
-
-  /// Folds \p E to a rational constant when it contains no variables and
-  /// no division by zero.
-  static std::optional<Rational> foldConst(const Expr &E) {
-    switch (E.kind()) {
-    case Expr::Kind::Number:
-      return E.number();
-    case Expr::Kind::Var:
-    case Expr::Kind::BoolLit:
-      return std::nullopt;
-    case Expr::Kind::Add:
-    case Expr::Kind::Sub:
-    case Expr::Kind::Mul:
-    case Expr::Kind::Div: {
-      std::optional<Rational> L = foldConst(E.lhs());
-      std::optional<Rational> R = foldConst(E.rhs());
-      if (!L || !R)
-        return std::nullopt;
-      switch (E.kind()) {
-      case Expr::Kind::Add:
-        return *L + *R;
-      case Expr::Kind::Sub:
-        return *L - *R;
-      case Expr::Kind::Mul:
-        return *L * *R;
-      default:
-        if (R->isZero())
-          return std::nullopt;
-        return *L / *R;
-      }
-    }
-    }
-    return std::nullopt;
-  }
-
-  //===--------------------------------------------------------------------===//
   // Expressions and conditions
   //===--------------------------------------------------------------------===//
 
@@ -119,7 +81,7 @@ private:
       requireReal(E.lhs(), "arithmetic");
       requireReal(E.rhs(), "arithmetic");
       if (E.kind() == Expr::Kind::Div) {
-        std::optional<Rational> Divisor = foldConst(E.rhs());
+        std::optional<Rational> Divisor = foldConstant(E.rhs());
         if (Divisor && Divisor->isZero())
           error(E.rhs().loc(), "div-by-zero",
                 "division by constant zero");
@@ -218,7 +180,7 @@ private:
     for (const Expr::Ptr &Param : D.Params)
       requireReal(*Param, "a distribution parameter");
     if (D.TheKind == Dist::Kind::Bernoulli && !D.Params.empty()) {
-      std::optional<Rational> P = foldConst(*D.Params[0]);
+      std::optional<Rational> P = foldConstant(*D.Params[0]);
       if (P && (P->sign() < 0 || *P > Rational(1)))
         error(D.Params[0]->loc(), "prob-range",
               "bernoulli parameter " + P->toString() +
@@ -411,7 +373,7 @@ private:
   void checkSignedAssign(const Stmt &S) {
     if (!signedChecksEnabled())
       return;
-    std::optional<Rational> V = foldConst(S.value());
+    std::optional<Rational> V = foldConstant(S.value());
     if (V && V->sign() < 0)
       error(S.loc(), "signed-var",
             "assignment of negative constant " + V->toString() +
@@ -433,7 +395,7 @@ private:
                      D.TheKind == Dist::Kind::UniformInt) &&
                     !D.Params.empty();
     if (HasLower) {
-      std::optional<Rational> Lo = foldConst(*D.Params[0]);
+      std::optional<Rational> Lo = foldConstant(*D.Params[0]);
       if (Lo && Lo->sign() < 0)
         error(S.loc(), "signed-var",
               "sampling from a range with constant negative lower bound " +
@@ -442,7 +404,7 @@ private:
     }
     if (D.TheKind == Dist::Kind::Discrete) {
       for (const Expr::Ptr &Value : D.Params) {
-        std::optional<Rational> V = foldConst(*Value);
+        std::optional<Rational> V = foldConstant(*Value);
         if (V && V->sign() < 0) {
           error(S.loc(), "signed-var",
                 "discrete distribution contains negative value " +

@@ -2,12 +2,15 @@
 
 #include "checks/Checker.h"
 
+#include "support/JsonEscape.h"
+
 #include <cassert>
 #include <cstdio>
 
 using namespace pmaf;
 using namespace pmaf::checks;
 using namespace pmaf::lang;
+using support::appendJsonEscaped;
 
 const char *checks::toString(Verdict V) {
   switch (V) {
@@ -55,33 +58,6 @@ std::string ChecksDb::summary() const {
 }
 
 namespace {
-
-void appendJsonEscaped(std::string &Out, const std::string &Text) {
-  for (char C : Text) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-}
 
 const char *assertKindName(AssertKind K) {
   switch (K) {
@@ -204,72 +180,6 @@ CheckRecord notConvergedRecord(const Stmt &S) {
 }
 
 const char *cmpSpelling(CmpOp Op) { return Op == CmpOp::Ge ? ">=" : "<="; }
-
-/// Folds \p E into an affine form c0 + sum ci * x_i over the program
-/// variables; false if the expression is nonlinear (or divides by zero).
-bool affineFold(const Expr &E, std::vector<Rational> &Coeffs,
-                Rational &Constant) {
-  switch (E.kind()) {
-  case Expr::Kind::Var:
-    Coeffs[E.varIndex()] += Rational(1);
-    return true;
-  case Expr::Kind::Number:
-    Constant += E.number();
-    return true;
-  case Expr::Kind::BoolLit:
-    return false;
-  case Expr::Kind::Add:
-    return affineFold(E.lhs(), Coeffs, Constant) &&
-           affineFold(E.rhs(), Coeffs, Constant);
-  case Expr::Kind::Sub: {
-    std::vector<Rational> RhsCoeffs(Coeffs.size());
-    Rational RhsConst;
-    if (!affineFold(E.lhs(), Coeffs, Constant) ||
-        !affineFold(E.rhs(), RhsCoeffs, RhsConst))
-      return false;
-    for (size_t I = 0; I != Coeffs.size(); ++I)
-      Coeffs[I] -= RhsCoeffs[I];
-    Constant -= RhsConst;
-    return true;
-  }
-  case Expr::Kind::Mul: {
-    // One side must be constant.
-    const Expr *Scalar = nullptr, *Affine = nullptr;
-    if (E.lhs().kind() == Expr::Kind::Number) {
-      Scalar = &E.lhs();
-      Affine = &E.rhs();
-    } else if (E.rhs().kind() == Expr::Kind::Number) {
-      Scalar = &E.rhs();
-      Affine = &E.lhs();
-    } else {
-      return false;
-    }
-    std::vector<Rational> SubCoeffs(Coeffs.size());
-    Rational SubConst;
-    if (!affineFold(*Affine, SubCoeffs, SubConst))
-      return false;
-    const Rational &K = Scalar->number();
-    for (size_t I = 0; I != Coeffs.size(); ++I)
-      Coeffs[I] += K * SubCoeffs[I];
-    Constant += K * SubConst;
-    return true;
-  }
-  case Expr::Kind::Div: {
-    if (E.rhs().kind() != Expr::Kind::Number || E.rhs().number().isZero())
-      return false;
-    std::vector<Rational> SubCoeffs(Coeffs.size());
-    Rational SubConst;
-    if (!affineFold(E.lhs(), SubCoeffs, SubConst))
-      return false;
-    const Rational &K = E.rhs().number();
-    for (size_t I = 0; I != Coeffs.size(); ++I)
-      Coeffs[I] += SubCoeffs[I] / K;
-    Constant += SubConst / K;
-    return true;
-  }
-  }
-  return false;
-}
 
 } // namespace
 
@@ -416,9 +326,9 @@ ChecksDb checks::checkLeia(const domains::LeiaDomainT<NumV> &Dom,
                             assertKindName(S->assertKind()) + " skipped"));
       continue;
     }
-    std::vector<Rational> Coeffs(Prog.Vars.size());
-    Rational Constant;
-    if (!affineFold(S->assertTarget(), Coeffs, Constant)) {
+    std::optional<AffineForm> Target =
+        affineForm(S->assertTarget(), Prog.Vars.size());
+    if (!Target) {
       Db.add(makeRecord(*S, Verdict::Skipped,
                         "the asserted expression is not affine in the "
                         "program variables; assert_interval skipped"));
@@ -429,7 +339,7 @@ ChecksDb checks::checkLeia(const domains::LeiaDomainT<NumV> &Dom,
       continue;
     }
     assert(Node < Values.size() && "value vector does not cover the graph");
-    auto Bounds = Dom.objectiveBounds(Values[Node], Coeffs);
+    auto Bounds = Dom.objectiveBounds(Values[Node], Target->Coeffs);
     Rational Lo = S->assertLo(), Hi = S->assertHi();
     std::string IntervalText =
         "[" + Lo.toString() + ", " + Hi.toString() + "]";
@@ -459,9 +369,9 @@ ChecksDb checks::checkLeia(const domains::LeiaDomainT<NumV> &Dom,
     // applied afterwards: E[c0 + sum ci x_i'] = c0 + sum ci E[x_i'].
     std::optional<Rational> Min = Bounds->first, Max = Bounds->second;
     if (Min)
-      *Min += Constant;
+      *Min += Target->Constant;
     if (Max)
-      *Max += Constant;
+      *Max += Target->Constant;
     std::string RangeText = "[";
     RangeText += Min ? Min->toString() : "-inf";
     RangeText += ", ";

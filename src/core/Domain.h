@@ -82,10 +82,6 @@ struct NumericLayerStats {
   /// Constraint⇄generator conversion memo traffic inside Polyhedron.
   uint64_t ConversionCacheHits = 0;
   uint64_t ConversionCacheMisses = 0;
-  /// The subset of ConversionCacheHits served by the process-wide sharded
-  /// L2 (the thread-local L1 missed: conversions another thread, or an
-  /// earlier solve on a since-finished thread, already paid for).
-  uint64_t SharedCacheHits = 0;
   /// Memo entries the bounded caches dropped at their caps.
   uint64_t CacheEvictions = 0;
   /// Times a ladder block climbed a rung (box → zone → poly).

@@ -376,8 +376,6 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
         Now.ConversionCacheHits - NumericBefore.ConversionCacheHits;
     Result.Stats.Numeric.ConversionCacheMisses =
         Now.ConversionCacheMisses - NumericBefore.ConversionCacheMisses;
-    Result.Stats.Numeric.SharedCacheHits =
-        Now.SharedCacheHits - NumericBefore.SharedCacheHits;
     Result.Stats.Numeric.CacheEvictions =
         Now.CacheEvictions - NumericBefore.CacheEvictions;
     Result.Stats.Numeric.Escalations =

@@ -51,7 +51,6 @@ core::NumericLayerStats LeiaDomainT<NumV>::numericStats() {
       C.ConversionCacheHits.load(std::memory_order_relaxed);
   S.ConversionCacheMisses =
       C.ConversionCacheMisses.load(std::memory_order_relaxed);
-  S.SharedCacheHits = C.SharedCacheHits.load(std::memory_order_relaxed);
   S.CacheEvictions = C.CacheEvictions.load(std::memory_order_relaxed);
   S.Escalations = C.LadderEscalations.load(std::memory_order_relaxed);
   S.PeakGeneratorRows =
@@ -125,89 +124,15 @@ template <NumericDomain NumV> auto LeiaDomainT<NumV>::one() const -> Value {
 // Expression / condition translation
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Recursively folds an expression to a rational constant if possible.
-std::optional<Rational> foldConstant(const Expr &E) {
-  switch (E.kind()) {
-  case Expr::Kind::Number:
-    return E.number();
-  case Expr::Kind::Var:
-  case Expr::Kind::BoolLit:
-    return std::nullopt;
-  default:
-    break;
-  }
-  auto L = foldConstant(E.lhs()), R = foldConstant(E.rhs());
-  if (!L || !R)
-    return std::nullopt;
-  switch (E.kind()) {
-  case Expr::Kind::Add:
-    return *L + *R;
-  case Expr::Kind::Sub:
-    return *L - *R;
-  case Expr::Kind::Mul:
-    return *L * *R;
-  case Expr::Kind::Div:
-    if (R->isZero())
-      return std::nullopt;
-    return *L / *R;
-  default:
-    return std::nullopt;
-  }
-}
-
-} // namespace
-
 template <NumericDomain NumV>
 std::optional<LinearExpr> LeiaDomainT<NumV>::exprToLinear(const Expr &E) const {
-  unsigned D = 2 * NumVars;
-  switch (E.kind()) {
-  case Expr::Kind::Var:
-    return LinearExpr::variable(D, E.varIndex());
-  case Expr::Kind::Number:
-    return LinearExpr::constant(D, E.number());
-  case Expr::Kind::BoolLit:
+  std::optional<AffineForm> Form = affineForm(E, NumVars);
+  if (!Form)
     return std::nullopt;
-  case Expr::Kind::Add: {
-    auto L = exprToLinear(E.lhs()), R = exprToLinear(E.rhs());
-    if (!L || !R)
-      return std::nullopt;
-    return *L + *R;
-  }
-  case Expr::Kind::Sub: {
-    auto L = exprToLinear(E.lhs()), R = exprToLinear(E.rhs());
-    if (!L || !R)
-      return std::nullopt;
-    return *L - *R;
-  }
-  case Expr::Kind::Mul: {
-    if (auto C = foldConstant(E.lhs())) {
-      auto R = exprToLinear(E.rhs());
-      if (!R)
-        return std::nullopt;
-      return R->scaled(*C);
-    }
-    if (auto C = foldConstant(E.rhs())) {
-      auto L = exprToLinear(E.lhs());
-      if (!L)
-        return std::nullopt;
-      return L->scaled(*C);
-    }
-    return std::nullopt;
-  }
-  case Expr::Kind::Div: {
-    auto C = foldConstant(E.rhs());
-    if (!C || C->isZero())
-      return std::nullopt;
-    auto L = exprToLinear(E.lhs());
-    if (!L)
-      return std::nullopt;
-    return L->scaled(Rational(1) / *C);
-  }
-  }
-  assert(false && "unknown expression kind");
-  return std::nullopt;
+  LinearExpr L = LinearExpr::constant(2 * NumVars, std::move(Form->Constant));
+  for (unsigned I = 0; I != NumVars; ++I)
+    L.coeff(I) = std::move(Form->Coeffs[I]);
+  return L;
 }
 
 template <NumericDomain NumV>

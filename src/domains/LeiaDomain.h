@@ -157,8 +157,9 @@ private:
   /// pre-vocabulary ((negated ? ¬phi : phi)).
   NumV meetCond(const NumV &P, const lang::Cond &Phi, bool Negated) const;
 
-  /// Translates an arithmetic expression over the pre-vocabulary into a
-  /// linear expression over 2n dims; nullopt if nonlinear.
+  /// Copies the affine form of \p E (lang::affineForm) into the
+  /// pre-vocabulary of a linear expression over 2n dims; nullopt if \p E is
+  /// not affine.
   std::optional<poly::LinearExpr> exprToLinear(const lang::Expr &E) const;
 
   /// The "0" element: E[x'] = 0 with x unconstrained (footnote 5).

@@ -64,6 +64,105 @@ Expr::Ptr Expr::clone() const {
 }
 
 //===----------------------------------------------------------------------===//
+// Constants and affine forms
+//===----------------------------------------------------------------------===//
+
+std::optional<Rational> lang::foldConstant(const Expr &E) {
+  switch (E.kind()) {
+  case Expr::Kind::Number:
+    return E.number();
+  case Expr::Kind::Var:
+  case Expr::Kind::BoolLit:
+    return std::nullopt;
+  case Expr::Kind::Add:
+  case Expr::Kind::Sub:
+  case Expr::Kind::Mul:
+  case Expr::Kind::Div:
+    break;
+  }
+  std::optional<Rational> L = foldConstant(E.lhs());
+  if (!L)
+    return std::nullopt;
+  std::optional<Rational> R = foldConstant(E.rhs());
+  if (!R)
+    return std::nullopt;
+  switch (E.kind()) {
+  case Expr::Kind::Add:
+    return *L + *R;
+  case Expr::Kind::Sub:
+    return *L - *R;
+  case Expr::Kind::Mul:
+    return *L * *R;
+  default:
+    if (R->isZero())
+      return std::nullopt;
+    return *L / *R;
+  }
+}
+
+static bool hasVariableTerm(const AffineForm &F) {
+  for (const Rational &C : F.Coeffs)
+    if (!C.isZero())
+      return true;
+  return false;
+}
+
+static AffineForm scaled(AffineForm F, const Rational &Factor) {
+  for (Rational &C : F.Coeffs)
+    C *= Factor;
+  F.Constant *= Factor;
+  return F;
+}
+
+std::optional<AffineForm> lang::affineForm(const Expr &E, unsigned NumVars) {
+  switch (E.kind()) {
+  case Expr::Kind::Var: {
+    assert(E.varIndex() < NumVars && "variable index out of range");
+    AffineForm F{std::vector<Rational>(NumVars), Rational(0)};
+    F.Coeffs[E.varIndex()] = Rational(1);
+    return F;
+  }
+  case Expr::Kind::Number:
+    return AffineForm{std::vector<Rational>(NumVars), E.number()};
+  case Expr::Kind::BoolLit:
+    return std::nullopt;
+  case Expr::Kind::Add:
+  case Expr::Kind::Sub:
+  case Expr::Kind::Mul:
+  case Expr::Kind::Div:
+    break;
+  }
+  std::optional<AffineForm> L = affineForm(E.lhs(), NumVars);
+  if (!L)
+    return std::nullopt;
+  std::optional<AffineForm> R = affineForm(E.rhs(), NumVars);
+  if (!R)
+    return std::nullopt;
+  switch (E.kind()) {
+  case Expr::Kind::Add:
+    for (unsigned I = 0; I != NumVars; ++I)
+      L->Coeffs[I] += R->Coeffs[I];
+    L->Constant += R->Constant;
+    return L;
+  case Expr::Kind::Sub:
+    for (unsigned I = 0; I != NumVars; ++I)
+      L->Coeffs[I] -= R->Coeffs[I];
+    L->Constant -= R->Constant;
+    return L;
+  case Expr::Kind::Mul:
+    if (!hasVariableTerm(*L))
+      return scaled(std::move(*R), L->Constant);
+    if (!hasVariableTerm(*R))
+      return scaled(std::move(*L), R->Constant);
+    return std::nullopt;
+  default:
+    if (hasVariableTerm(*R) || R->Constant.isZero())
+      return std::nullopt;
+    return scaled(std::move(*L), Rational(1) / R->Constant);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Cond
 //===----------------------------------------------------------------------===//
 

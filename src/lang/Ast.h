@@ -25,6 +25,7 @@
 
 #include <cassert>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,25 @@ private:
   Ptr Lhs, Rhs;
   SourceLoc Loc;
 };
+
+/// \returns the value of \p E when it folds to a rational constant: it
+/// contains no variable, no Boolean literal and no division by zero.
+std::optional<Rational> foldConstant(const Expr &E);
+
+/// An affine form Constant + sum Coeffs[i] * x_i over the program
+/// variables.
+struct AffineForm {
+  std::vector<Rational> Coeffs;
+  Rational Constant;
+};
+
+/// \returns \p E as an affine form over \p NumVars variables, or nullopt
+/// when it is not affine. A factor of `*`, or a divisor, counts as a scalar
+/// when its own form has no variable term, so `1/2 * x`, `x / (1 + 1)` and
+/// `(x - x) * y` are affine; `x * y`, `x / y`, `x / (1 - 1)` and Boolean
+/// literals are not. This is the one reading of arithmetic shared by the
+/// LEIA transfer functions, the checker and the §6.2 decomposition.
+std::optional<AffineForm> affineForm(const Expr &E, unsigned NumVars);
 
 //===----------------------------------------------------------------------===//
 // Logical conditions

@@ -13,38 +13,6 @@ using namespace pmaf::lang;
 
 namespace {
 
-/// Constant-folds \p E to a rational; fails on variables and division by
-/// zero. Used for probabilities, rewards, and discrete-distribution tables.
-std::optional<Rational> evalConstant(const Expr &E) {
-  switch (E.kind()) {
-  case Expr::Kind::Number:
-    return E.number();
-  case Expr::Kind::Var:
-  case Expr::Kind::BoolLit:
-    return std::nullopt;
-  default:
-    break;
-  }
-  std::optional<Rational> L = evalConstant(E.lhs());
-  std::optional<Rational> R = evalConstant(E.rhs());
-  if (!L || !R)
-    return std::nullopt;
-  switch (E.kind()) {
-  case Expr::Kind::Add:
-    return *L + *R;
-  case Expr::Kind::Sub:
-    return *L - *R;
-  case Expr::Kind::Mul:
-    return *L * *R;
-  case Expr::Kind::Div:
-    if (R->isZero())
-      return std::nullopt;
-    return *L / *R;
-  default:
-    return std::nullopt;
-  }
-}
-
 /// Bounds on numeric literals: far beyond anything the double-valued
 /// domains can hold, and small enough that the exact conversion to a
 /// rational stays cheap.
@@ -591,7 +559,7 @@ private:
         // Fold constant parameters (e.g. `bernoulli(3/4)`) to Number nodes:
         // the abstract domains require literal constants here, and a folded
         // fraction is semantically identical to its decimal spelling.
-        if (std::optional<Rational> Folded = evalConstant(*Param)) {
+        if (std::optional<Rational> Folded = foldConstant(*Param)) {
           Param = Expr::makeNumber(std::move(*Folded));
           Param->setLoc(ParamLoc);
         }
@@ -871,7 +839,7 @@ private:
     Expr::Ptr E = parseExpr();
     if (!E)
       return std::nullopt;
-    std::optional<Rational> Value = evalConstant(*E);
+    std::optional<Rational> Value = foldConstant(*E);
     if (!Value)
       fail("expected a constant rational expression");
     return Value;

@@ -11,14 +11,6 @@ using namespace pmaf::lang;
 
 namespace {
 
-/// A linear form over the original variables plus the sampling temporary:
-/// Constant + sum Coeffs[i] * v_i + TempCoeff * __t.
-struct LinearForm {
-  std::vector<Rational> Coeffs;
-  Rational TempCoeff;
-  Rational Constant;
-};
-
 class Decomposer {
 public:
   explicit Decomposer(const Program &Original) : Original(Original) {}
@@ -57,76 +49,15 @@ public:
 
 private:
   //===--------------------------------------------------------------------===//
-  // Linear forms
+  // Affine forms
   //===--------------------------------------------------------------------===//
 
-  std::optional<LinearForm> linearize(const Expr &E) const {
-    LinearForm Form;
-    Form.Coeffs.assign(NumOriginal, Rational(0));
-    switch (E.kind()) {
-    case Expr::Kind::Var:
-      Form.Coeffs[E.varIndex()] = Rational(1);
-      return Form;
-    case Expr::Kind::Number:
-      Form.Constant = E.number();
-      return Form;
-    case Expr::Kind::BoolLit:
-      return std::nullopt;
-    case Expr::Kind::Add:
-    case Expr::Kind::Sub: {
-      auto L = linearize(E.lhs()), R = linearize(E.rhs());
-      if (!L || !R)
-        return std::nullopt;
-      bool Neg = E.kind() == Expr::Kind::Sub;
-      for (unsigned I = 0; I != NumOriginal; ++I)
-        L->Coeffs[I] += Neg ? -R->Coeffs[I] : R->Coeffs[I];
-      L->TempCoeff += Neg ? -R->TempCoeff : R->TempCoeff;
-      L->Constant += Neg ? -R->Constant : R->Constant;
-      return L;
-    }
-    case Expr::Kind::Mul:
-    case Expr::Kind::Div: {
-      auto L = linearize(E.lhs()), R = linearize(E.rhs());
-      if (!L || !R)
-        return std::nullopt;
-      auto IsConst = [this](const LinearForm &F) {
-        for (unsigned I = 0; I != NumOriginal; ++I)
-          if (!F.Coeffs[I].isZero())
-            return false;
-        return F.TempCoeff.isZero();
-      };
-      if (E.kind() == Expr::Kind::Div) {
-        if (!IsConst(*R) || R->Constant.isZero())
-          return std::nullopt;
-        Rational Inv = Rational(1) / R->Constant;
-        for (Rational &C : L->Coeffs)
-          C *= Inv;
-        L->TempCoeff *= Inv;
-        L->Constant *= Inv;
-        return L;
-      }
-      const LinearForm *Scalar = IsConst(*L) ? &*L : nullptr;
-      LinearForm *Other = Scalar ? &*R : &*L;
-      if (!Scalar) {
-        if (!IsConst(*R))
-          return std::nullopt;
-        Scalar = &*R;
-      }
-      for (Rational &C : Other->Coeffs)
-        C *= Scalar->Constant;
-      Other->TempCoeff *= Scalar->Constant;
-      Other->Constant *= Scalar->Constant;
-      return *Other;
-    }
-    }
-    assert(false && "unknown expression kind");
-    return std::nullopt;
-  }
-
-  /// Builds the nonnegative half of a linear form: positive coefficients
-  /// go to the __p component, negative ones to the __n component (and
-  /// vice versa when \p Negative).
-  Expr::Ptr halfExpr(const LinearForm &Form, bool Negative) const {
+  /// Builds the nonnegative half of an affine form over the original
+  /// variables, plus the sampling temporary __t when \p PlusTemp: positive
+  /// coefficients go to the __p component, negative ones to the __n
+  /// component (and vice versa when \p Negative).
+  Expr::Ptr halfExpr(const AffineForm &Form, bool Negative,
+                     bool PlusTemp = false) const {
     Expr::Ptr Acc;
     auto AddTerm = [&Acc](Rational Coeff, unsigned VarIndex) {
       if (Coeff.isZero())
@@ -146,14 +77,10 @@ private:
       AddTerm(Negative ? Neg : Pos, 2 * I);     // coeff for x_i__p
       AddTerm(Negative ? Pos : Neg, 2 * I + 1); // coeff for x_i__n
     }
-    {
-      // __t is itself a nonnegative variable (not decomposed): its
-      // contribution lands in the half matching the coefficient sign.
-      const Rational &T = Form.TempCoeff;
-      Rational Pos = T.sign() > 0 ? T : Rational(0);
-      Rational Neg = T.sign() < 0 ? -T : Rational(0);
-      AddTerm(Negative ? Neg : Pos, TempIndex);
-    }
+    // __t is itself a nonnegative variable (not decomposed), so a +__t
+    // term lands in the positive half.
+    if (PlusTemp && !Negative)
+      AddTerm(Rational(1), TempIndex);
     Rational C = Form.Constant;
     Rational Wanted = Negative ? (C.sign() < 0 ? -C : Rational(0))
                                : (C.sign() > 0 ? C : Rational(0));
@@ -222,16 +149,17 @@ private:
   /// (staging through scratch variables so self-references read the old
   /// components).
   void emitSplitAssign(std::vector<Stmt::Ptr> &Out, unsigned Target,
-                       const LinearForm &Form) const {
-    Out.push_back(Stmt::makeAssign(ScratchP, halfExpr(Form, false)));
-    Out.push_back(Stmt::makeAssign(ScratchN, halfExpr(Form, true)));
+                       const AffineForm &Form, bool PlusTemp = false) const {
+    Out.push_back(
+        Stmt::makeAssign(ScratchP, halfExpr(Form, false, PlusTemp)));
+    Out.push_back(Stmt::makeAssign(ScratchN, halfExpr(Form, true, PlusTemp)));
     Out.push_back(Stmt::makeAssign(2 * Target, Expr::makeVar(ScratchP)));
     Out.push_back(
         Stmt::makeAssign(2 * Target + 1, Expr::makeVar(ScratchN)));
   }
 
   void rewriteAssign(std::vector<Stmt::Ptr> &Out, const Stmt &S) {
-    std::optional<LinearForm> Form = linearize(S.value());
+    std::optional<AffineForm> Form = affineForm(S.value(), NumOriginal);
     if (!Form) {
       Error = "nonlinear assignment cannot be decomposed: " +
               toString(S.value(), Original);
@@ -257,16 +185,15 @@ private:
     case Dist::Kind::Uniform:
     case Dist::Kind::UniformInt: {
       // x ~ D(lo, hi)  ~>  __t ~ D(0, hi - lo); x := lo + __t.
-      std::optional<LinearForm> Lo = linearize(*D.Params[0]);
-      std::optional<LinearForm> Hi = linearize(*D.Params[1]);
+      std::optional<AffineForm> Lo = affineForm(*D.Params[0], NumOriginal);
+      std::optional<AffineForm> Hi = affineForm(*D.Params[1], NumOriginal);
       if (!Lo || !Hi) {
         Error = "sampling with nonlinear bounds cannot be decomposed";
         return;
       }
-      LinearForm Span = *Hi;
+      AffineForm Span = *Hi;
       for (unsigned I = 0; I != NumOriginal; ++I)
         Span.Coeffs[I] -= Lo->Coeffs[I];
-      Span.TempCoeff -= Lo->TempCoeff;
       Span.Constant -= Lo->Constant;
       Dist Offset;
       Offset.TheKind = D.TheKind;
@@ -275,9 +202,7 @@ private:
       // program, so the substituted expression is a valid upper bound.
       Offset.Params.push_back(halfExprAsSignedExpr(Span));
       Out.push_back(Stmt::makeSample(TempIndex, std::move(Offset)));
-      LinearForm Assign = *Lo;
-      Assign.TempCoeff += Rational(1);
-      emitSplitAssign(Out, X, Assign);
+      emitSplitAssign(Out, X, *Lo, /*PlusTemp=*/true);
       return;
     }
     case Dist::Kind::Discrete: {
@@ -312,7 +237,7 @@ private:
 
   /// Renders a signed linear form as a (possibly negative) expression over
   /// the decomposed variables: pos-half minus neg-half.
-  Expr::Ptr halfExprAsSignedExpr(const LinearForm &Form) const {
+  Expr::Ptr halfExprAsSignedExpr(const AffineForm &Form) const {
     return Expr::makeBinary(Expr::Kind::Sub, halfExpr(Form, false),
                             halfExpr(Form, true));
   }

@@ -109,12 +109,11 @@ struct NumericCounters {
   /// Conversions that missed the cache (equals MinimizationCalls modulo
   /// the re-minimization passes a single construction performs).
   std::atomic<uint64_t> ConversionCacheMisses{0};
-  /// The subset of ConversionCacheHits answered by the process-wide
-  /// sharded L2 cache (the thread-local L1 missed — typically a thread
-  /// reusing conversions a solve on another thread computed).
+  /// Always 0: the conversion memo is per-thread and shares nothing across
+  /// threads. Kept because the repository benchmark's driver reads it.
   std::atomic<uint64_t> SharedCacheHits{0};
-  /// Memo entries dropped by the bounded caches (L1 and L2 shards evict
-  /// about half their entries when they reach their cap).
+  /// Memo entries dropped by the bounded per-thread caches (each evicts
+  /// about half its entries when it reaches its cap).
   std::atomic<uint64_t> CacheEvictions{0};
   /// Ladder blocks promoted to a more expensive rung because a constraint
   /// or image escaped the current fragment.

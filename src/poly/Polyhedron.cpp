@@ -120,27 +120,15 @@ struct ConvKeyHash {
   }
 };
 
-/// Memoizes whole representation conversions in two levels:
-///
-///  * **L1** — a per-thread map probed without any locking. Canonicalizing
-///    an unchanged system — e.g. after a no-op meet — is one hash lookup
-///    instead of a Chernikova run.
-///  * **L2** — a process-wide, lock-striped shard array keyed by the
-///    ConvKey hash. The L2 shares conversions across solves on different
-///    threads: pmafd connection threads and verify-corpus workers start
-///    with cold L1s, and an L1 dies with its thread. A shard mutex is held
-///    only for lookup/insert — never across a Chernikova run — so two
-///    threads racing on the same missing key at worst both compute it
-///    (the duplicate insert is a no-op).
-///
-/// Both levels are bounded: at cap they evict about half their entries
-/// (every other element, in iteration order — effectively random for an
-/// unordered_map, and O(n) amortized over the n insertions that filled
-/// them), counted in NumericCounters::CacheEvictions so a long-lived
+/// Memoizes whole representation conversions in a per-thread map for each
+/// direction, probed without any locking: canonicalizing an unchanged
+/// system — e.g. after a no-op meet — is one hash lookup instead of a
+/// Chernikova run. A map is bounded: at its cap it evicts about half its
+/// entries (every other element, in iteration order — effectively random
+/// for an unordered_map, and O(n) amortized over the n insertions that
+/// filled it), counted in NumericCounters::CacheEvictions so a long-lived
 /// process can see churn.
-constexpr size_t L1ConversionCacheCap = 2048;
-constexpr size_t L2ConversionShards = 16;
-constexpr size_t L2ConversionShardCap = 4096;
+constexpr size_t ConversionCacheCap = 2048;
 
 using ConvMap = std::unordered_map<ConvKey, Polyhedron, ConvKeyHash>;
 
@@ -156,72 +144,37 @@ void evictHalf(ConvMap &Map) {
                                              std::memory_order_relaxed);
 }
 
-struct ConvShard {
-  std::mutex Mutex;
-  ConvMap Map;
-};
-
-ConvShard *l2Shards() {
-  static ConvShard Shards[L2ConversionShards];
-  return Shards;
-}
-
-ConvShard &shardFor(size_t Hash) {
-  return l2Shards()[Hash % L2ConversionShards];
-}
-
-/// The calling thread's L1 map for one conversion direction (constraints
-/// to generators, or generators to constraints); each direction has its
-/// own map, cap and eviction.
-ConvMap &l1Map(bool FromGenerators) {
+/// The calling thread's map for one conversion direction (constraints to
+/// generators, or generators to constraints); each direction has its own
+/// map, cap and eviction.
+ConvMap &conversionMap(bool FromGenerators) {
   thread_local ConvMap FromConstraintRows, FromGeneratorRows;
   return FromGenerators ? FromGeneratorRows : FromConstraintRows;
 }
 
-/// The shared conversion-cache protocol: L1 probe, then L2 probe, then
-/// compute (outside all locks) and publish to both levels. \p Compute
-/// receives the canonicalized key and must be pure in it.
+/// Probes the calling thread's map, else computes the conversion and
+/// records it. \p Compute receives the canonicalized key and must be pure
+/// in it.
 template <typename ComputeFn>
 Polyhedron cachedConversion(ConvKey Key, ComputeFn &&Compute) {
   NumericCounters &Counters = numericCounters();
-  ConvMap &L1 = l1Map(Key.FromGenerators);
-  if (auto It = L1.find(Key); It != L1.end()) {
+  ConvMap &Map = conversionMap(Key.FromGenerators);
+  if (auto It = Map.find(Key); It != Map.end()) {
     Counters.ConversionCacheHits.fetch_add(1, std::memory_order_relaxed);
     return It->second;
   }
-  const size_t Hash = ConvKeyHash{}(Key);
-  ConvShard &Shard = shardFor(Hash);
-  std::optional<Polyhedron> P;
-  {
-    std::lock_guard<std::mutex> Lock(Shard.Mutex);
-    if (auto It = Shard.Map.find(Key); It != Shard.Map.end())
-      P = It->second; // Deep copy under the lock; BigInt is a value type.
-  }
-  if (P) {
-    Counters.ConversionCacheHits.fetch_add(1, std::memory_order_relaxed);
-    Counters.SharedCacheHits.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    Counters.ConversionCacheMisses.fetch_add(1, std::memory_order_relaxed);
-    P = Compute(static_cast<const ConvKey &>(Key));
-    std::lock_guard<std::mutex> Lock(Shard.Mutex);
-    if (Shard.Map.size() >= L2ConversionShardCap)
-      evictHalf(Shard.Map);
-    Shard.Map.emplace(Key, *P); // No-op if another thread raced us here.
-  }
-  if (L1.size() >= L1ConversionCacheCap)
-    evictHalf(L1);
-  return L1.emplace(std::move(Key), std::move(*P)).first->second;
+  Counters.ConversionCacheMisses.fetch_add(1, std::memory_order_relaxed);
+  Polyhedron P = Compute(static_cast<const ConvKey &>(Key));
+  if (Map.size() >= ConversionCacheCap)
+    evictHalf(Map);
+  return Map.emplace(std::move(Key), std::move(P)).first->second;
 }
 
 } // namespace
 
 void poly::clearConversionCaches() {
-  l1Map(false).clear();
-  l1Map(true).clear();
-  for (size_t I = 0; I != L2ConversionShards; ++I) {
-    std::lock_guard<std::mutex> Lock(l2Shards()[I].Mutex);
-    l2Shards()[I].Map.clear();
-  }
+  conversionMap(false).clear();
+  conversionMap(true).clear();
 }
 
 //===----------------------------------------------------------------------===//
@@ -512,8 +465,8 @@ Polyhedron Polyhedron::fromGeneratorRows(unsigned Dim,
     std::vector<ConeRow> Cons = dualize(K.Rows, Dim + 1);
     Cons.erase(std::remove_if(Cons.begin(), Cons.end(), isTrivialConstraint),
                Cons.end());
-    // Delegates to fromConstraintRows — a nested cachedConversion call;
-    // safe because no shard lock is held while computing.
+    // Delegates to fromConstraintRows — a nested cachedConversion call on
+    // the other direction's map.
     return fromConstraintRows(Dim, std::move(Cons));
   });
 }

@@ -6,6 +6,7 @@
 
 #include "server/Protocol.h"
 
+#include "support/JsonEscape.h"
 #include "support/NumParse.h"
 
 #include <cerrno>
@@ -123,34 +124,7 @@ void Json::push(Json Value) {
 
 void pmaf::server::appendJsonString(std::string &Out, std::string_view S) {
   Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(C)));
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
+  support::appendJsonEscaped(Out, S);
   Out += '"';
 }
 

@@ -1,10 +1,12 @@
 //===- support/Diagnostics.cpp - Diagnostics engine ------------------------===//
 
 #include "support/Diagnostics.h"
+#include "support/JsonEscape.h"
 
 #include <algorithm>
 
 using namespace pmaf;
+using support::appendJsonEscaped;
 
 const char *pmaf::toString(Severity Sev) {
   switch (Sev) {
@@ -78,34 +80,6 @@ bool extractLine(const std::string &Buffer, unsigned Line, std::string &Out) {
     End = Buffer.size();
   Out = Buffer.substr(Start, End - Start);
   return true;
-}
-
-void appendJsonEscaped(std::string &Out, const std::string &Text) {
-  for (char C : Text) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        static const char Hex[] = "0123456789abcdef";
-        Out += "\\u00";
-        Out += Hex[(C >> 4) & 0xF];
-        Out += Hex[C & 0xF];
-      } else {
-        Out += C;
-      }
-    }
-  }
 }
 
 void appendDiagJson(std::string &Out, const Diagnostic &Diag) {

@@ -262,6 +262,40 @@ TEST(CheckerTest, LeiaIntervalContainmentAndDisjointness) {
             "assert-interval-unproved");
 }
 
+TEST(CheckerTest, LeiaIntervalTargetsWithNestedScalars) {
+  // A factor or divisor without a variable term is a scalar however it is
+  // spelled, so these targets are proved like `0.5 * x`.
+  const std::pair<const char *, const char *> Cases[] = {
+      {"0.5 * x", "1/2"},
+      {"1/2 * x", "1/2"},
+      {"x * (3 - 1)", "2"},
+      {"x / (1 + 1)", "1/2"},
+  };
+  for (auto [Target, Value] : Cases) {
+    SCOPED_TRACE(Target);
+    auto Prog = parseProgramOrDie(std::string("real x; proc main() { ") +
+                                  "assert_interval(" + Target + ", " +
+                                  Value + ", " + Value + "); x := 1; }");
+    ChecksDb Ladder = checkLeiaProg<poly::LadderValue>(*Prog);
+    ASSERT_EQ(Ladder.total(), 1u);
+    EXPECT_EQ(Ladder.records()[0].Code, "assert-interval-safe")
+        << Ladder.records()[0].Message;
+    ChecksDb Zones = checkLeiaProg<poly::Zones>(*Prog);
+    ASSERT_EQ(Zones.total(), 1u);
+    EXPECT_EQ(Zones.records()[0].Code, "assert-interval-safe")
+        << Zones.records()[0].Message;
+  }
+  // A product of two variable terms is not affine.
+  auto Square = parseProgramOrDie(
+      "real x; proc main() { assert_interval(x * x, 1, 1); x := 1; }");
+  ChecksDb Db = checkLeiaProg<poly::LadderValue>(*Square);
+  ASSERT_EQ(Db.total(), 1u);
+  EXPECT_EQ(Db.records()[0].TheVerdict, Verdict::Skipped);
+  EXPECT_EQ(Db.records()[0].Code, "assert-skipped");
+  EXPECT_NE(Db.records()[0].Message.find("not affine"), std::string::npos)
+      << Db.records()[0].Message;
+}
+
 TEST(CheckerTest, DivergenceMakesExpectationExactlyZero) {
   // Almost-sure divergence leaves zero terminating mass, so the
   // sub-probability expectation of any objective is exactly 0 — an

@@ -315,3 +315,86 @@ TEST(ParserTest, NestingCountsEachOperatorOnce) {
   Nots.insert(Nots.find('!'), "!");
   EXPECT_FALSE(parseProgram(Nots));
 }
+
+//===----------------------------------------------------------------------===//
+// Constants and affine forms
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The value of `x := <Text>;` in a program over `real x, y`.
+Expr::Ptr parseValue(const std::string &Text) {
+  ParseResult R =
+      parseProgram("real x, y; proc main() { x := " + Text + "; }");
+  EXPECT_TRUE(R) << R.Error;
+  if (!R)
+    return Expr::makeNumber(Rational(0));
+  return R.Prog->Procs[0].Body->stmts()[0]->value().clone();
+}
+
+/// foldConstant of \p Text, rendered, or "none".
+std::string folded(const std::string &Text) {
+  std::optional<Rational> C = foldConstant(*parseValue(Text));
+  return C ? C->toString() : "none";
+}
+
+/// affineForm of \p E over `real x, y`, rendered as "a*x + b*y + c", or
+/// "none".
+std::string form(const Expr &E) {
+  std::optional<AffineForm> F = affineForm(E, 2);
+  if (!F)
+    return "none";
+  return F->Coeffs[0].toString() + "*x + " + F->Coeffs[1].toString() +
+         "*y + " + F->Constant.toString();
+}
+std::string form(const std::string &Text) { return form(*parseValue(Text)); }
+
+} // namespace
+
+TEST(ExprReadingTest, FoldConstantOnEachOperator) {
+  EXPECT_EQ(folded("7/2"), "7/2");
+  EXPECT_EQ(folded("1 + 1/2"), "3/2");
+  EXPECT_EQ(folded("1 - 3/2"), "-1/2");
+  EXPECT_EQ(folded("3 * (1 + 1)"), "6");
+  EXPECT_EQ(folded("3 / (2 - 4)"), "-3/2");
+  // Any variable refuses, even one that cancels; so do division by zero
+  // and Boolean literals.
+  EXPECT_EQ(folded("x"), "none");
+  EXPECT_EQ(folded("x - x"), "none");
+  EXPECT_EQ(folded("0 * y"), "none");
+  EXPECT_EQ(folded("1 / (1 - 1)"), "none");
+  EXPECT_FALSE(foldConstant(*Expr::makeBool(true)));
+}
+
+TEST(ExprReadingTest, AffineFormOnEachOperator) {
+  EXPECT_EQ(form("x"), "1*x + 0*y + 0");
+  EXPECT_EQ(form("5/2"), "0*x + 0*y + 5/2");
+  EXPECT_EQ(form("x + 2 * y + 1"), "1*x + 2*y + 1");
+  EXPECT_EQ(form("x - y - 1"), "1*x + -1*y + -1");
+  EXPECT_EQ(form("0 - x"), "-1*x + 0*y + 0");
+  EXPECT_EQ(form("3 * (x + 1)"), "3*x + 0*y + 3");
+  EXPECT_EQ(form("(x + 1) * 3"), "3*x + 0*y + 3");
+  EXPECT_EQ(form("(x + 1) / 4"), "1/4*x + 0*y + 1/4");
+}
+
+TEST(ExprReadingTest, ScalarsAreFormsWithoutAVariableTerm) {
+  // A factor of `*`, or a divisor, is a scalar however it is spelled.
+  EXPECT_EQ(form("1/2 * x"), "1/2*x + 0*y + 0");
+  EXPECT_EQ(form("x * (3 - 1)"), "2*x + 0*y + 0");
+  EXPECT_EQ(form("x / (1 + 1)"), "1/2*x + 0*y + 0");
+  // Terms that cancel leave the scalar 0, so the product is 0.
+  EXPECT_EQ(form("(x - x) * y"), "0*x + 0*y + 0");
+  EXPECT_EQ(form("y / (x - x + 2)"), "0*x + 1/2*y + 0");
+}
+
+TEST(ExprReadingTest, NonAffineExpressionsHaveNoForm) {
+  EXPECT_EQ(form("x * y"), "none");
+  EXPECT_EQ(form("x * x"), "none");
+  EXPECT_EQ(form("x / y"), "none");
+  EXPECT_EQ(form("x / (1 - 1)"), "none");
+  EXPECT_EQ(form("x / (y - y)"), "none");
+  EXPECT_EQ(form(*Expr::makeBool(false)), "none");
+  EXPECT_EQ(form(*Expr::makeBinary(Expr::Kind::Add, Expr::makeVar(0),
+                                   Expr::makeBool(true))),
+            "none");
+}

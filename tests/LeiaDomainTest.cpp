@@ -250,6 +250,13 @@ TEST(LeiaDomainTest, NonlinearAssignmentLosesOnlyTarget) {
   EXPECT_LE(XLo, 0.0);
 }
 
+TEST(LeiaDomainTest, CancelledFactorIsTheScalarZero) {
+  // (x - x) has no variable term, so it is the scalar 0 and the product
+  // is exactly 0, as the §6.2 decomposition reads it.
+  LeiaRun Run("real x, y, z; proc main() { z := (x - x) * y; }");
+  EXPECT_TRUE(Run.hasInvariant("E[z'] == 0")) << Run.allInvariants();
+}
+
 TEST(LeiaDomainTest, InvariantStringsMentionExpectations) {
   LeiaRun Run("real x; proc main() { x := x + 1; }");
   EXPECT_TRUE(Run.hasInvariant("E[x'] == x + 1")) << Run.allInvariants();

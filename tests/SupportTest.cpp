@@ -2,6 +2,7 @@
 
 #include "support/BigInt.h"
 #include "support/Diagnostics.h"
+#include "support/JsonEscape.h"
 #include "support/Rational.h"
 #include "support/Rng.h"
 
@@ -319,4 +320,14 @@ TEST(DiagnosticsTest, JsonEscapesAndCounts) {
   EXPECT_NE(Json.find("say \\\"hi\\\"\\n"), std::string::npos) << Json;
   EXPECT_NE(Json.find("\"errors\": 0"), std::string::npos) << Json;
   EXPECT_NE(Json.find("\"warnings\": 1"), std::string::npos) << Json;
+}
+
+TEST(DiagnosticsTest, OneJsonEscaperForEveryWriter) {
+  // pmafd fingerprints hash the checks JSON, so these bytes are pinned:
+  // two-character escapes for quote, backslash, \n, \r and \t, \u00XX for
+  // every other control character, anything else copied through.
+  std::string Out;
+  support::appendJsonEscaped(
+      Out, std::string("a\"b\\c\n\r\t\x01\x1f\x7f\xc3\xa9", 13));
+  EXPECT_EQ(Out, "a\\\"b\\\\c\\n\\r\\t\\u0001\\u001f\x7f\xc3\xa9");
 }

@@ -216,12 +216,11 @@ struct AnalyzeConfig {
     if (N.MinimizationCalls > 0 || N.ConversionCacheHits > 0)
       std::printf("; numeric layer: %llu Chernikova minimizations (peak %u "
                   "generator rows), conversion cache %llu hits / %llu misses "
-                  "(%llu shared-L2 hits, %llu evictions)\n"
+                  "(%llu evictions)\n"
                   "; ladder: %llu escalations, max pack width %u\n",
                   U(N.MinimizationCalls), N.PeakGeneratorRows,
                   U(N.ConversionCacheHits), U(N.ConversionCacheMisses),
-                  U(N.SharedCacheHits), U(N.CacheEvictions),
-                  U(N.Escalations), N.MaxPackWidth);
+                  U(N.CacheEvictions), U(N.Escalations), N.MaxPackWidth);
   }
 };
 
