@@ -11,7 +11,7 @@
 // its result passes the exact post-fixpoint check (core::isPostFixpoint).
 //
 // Flags (beyond google-benchmark's own):
-//   --numeric=poly|ladder|zones|intervals  numeric backend (default ladder)
+//   --numeric=poly|ladder|zones|intervals  numeric backend (default poly)
 //   --programs=a,b,c                       run only the named benchmarks
 //   --json=<path>                          write BENCH_*.json records
 //

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <tuple>
 
 using namespace pmaf;
 using namespace pmaf::domains;
@@ -786,14 +787,24 @@ LeiaDomainT<NumV>::describeInvariants(const Value &A) const {
     PrimeNames.push_back(Var.Name + "'");
   for (const VarInfo &Var : Prog->Vars)
     PreNames.push_back(Var.Name);
+  // Printed in one order whatever the backend's constraint order: by the
+  // declaration index of the leading E-variable, then ==, >=, <=. The
+  // sort is stable, so rows tied on both keys keep the backend's order.
+  struct Line {
+    unsigned LeadVar;
+    int RelRank;
+    std::string Text;
+  };
+  std::vector<Line> Lines;
   for (const Constraint &Con : A.EP.constraintList()) {
     // Normalize by the leading expectation coefficient and split into the
     // E-part (left) and the pre-state part (right).
-    Rational Lead;
-    for (unsigned I = 0; I != N && Lead.isZero(); ++I)
-      Lead = Con.Expr.coeff(N + I);
-    if (Lead.isZero())
+    unsigned LeadVar = 0;
+    while (LeadVar != N && Con.Expr.coeff(N + LeadVar).isZero())
+      ++LeadVar;
+    if (LeadVar == N)
       continue; // Support-only row; not an expectation invariant.
+    const Rational &Lead = Con.Expr.coeff(N + LeadVar);
     bool Flipped = Lead.sign() < 0;
     double Scale = 1.0 / Lead.abs().toDouble() * (Flipped ? -1.0 : 1.0);
     std::vector<double> ECoeffs(N), PreCoeffs(N);
@@ -819,9 +830,17 @@ LeiaDomainT<NumV>::describeInvariants(const Value &A) const {
         continue;
     }
     const char *Rel = IsEq ? " == " : (Flipped ? " <= " : " >= ");
-    Result.push_back("E[" + formatAffine(ECoeffs, 0.0, PrimeNames) + "]" +
-                     Rel + formatAffine(PreCoeffs, PreConst, PreNames));
+    Lines.push_back({LeadVar, IsEq ? 0 : (Flipped ? 2 : 1),
+                     "E[" + formatAffine(ECoeffs, 0.0, PrimeNames) + "]" +
+                         Rel + formatAffine(PreCoeffs, PreConst, PreNames)});
   }
+  std::stable_sort(Lines.begin(), Lines.end(),
+                   [](const Line &X, const Line &Y) {
+                     return std::tie(X.LeadVar, X.RelRank) <
+                            std::tie(Y.LeadVar, Y.RelRank);
+                   });
+  for (Line &L : Lines)
+    Result.push_back(std::move(L.Text));
   return Result;
 }
 

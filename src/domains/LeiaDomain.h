@@ -31,8 +31,8 @@
 /// follow a linear recurrence; the solver keeps it only on an exact check.
 ///
 /// The domain is a template over the numeric backend NumV
-/// (poly/NumericDomain.h): monolithic polyhedra reproduce the original
-/// §5.3 evaluation; the ladder backend (poly/Ladder.h, the default)
+/// (poly/NumericDomain.h): monolithic polyhedra (the default) reproduce
+/// the original §5.3 evaluation; the ladder backend (poly/Ladder.h)
 /// computes the *same* sets through packed, lazily-escalated
 /// representations; the standalone zones/intervals backends are cheap
 /// sound over-approximations (they drop constraints outside their
@@ -126,7 +126,9 @@ public:
   std::string toString(const Value &A) const;
 
   /// Human-readable expectation invariants of a summary, e.g.
-  /// "E[x' + y'] == x + y + 3".
+  /// "E[x' + y'] == x + y + 3", ordered by the declaration index of the
+  /// leading E-variable, then ==, >=, <=, so every exact backend prints
+  /// the same lines in the same order.
   std::vector<std::string> describeInvariants(const Value &A) const;
 
   /// Bounds of E[Objective'] (a linear combination of post-vocabulary
@@ -207,10 +209,10 @@ extern template class LeiaDomainT<poly::LadderValue>;
 extern template class LeiaDomainT<poly::Zones>;
 extern template class LeiaDomainT<poly::Intervals>;
 
-/// The default LEIA instantiation: the exact ladder backend
-/// (`--numeric=ladder`), which reproduces the polyhedra-mode invariants.
-using LeiaValue = LeiaValueT<poly::LadderValue>;
-using LeiaDomain = LeiaDomainT<poly::LadderValue>;
+/// The default LEIA instantiation: monolithic polyhedra (`--numeric=poly`,
+/// core::SolverOptions' default backend).
+using LeiaValue = LeiaValueT<poly::Polyhedron>;
+using LeiaDomain = LeiaDomainT<poly::Polyhedron>;
 
 static_assert(core::PreMarkovAlgebra<LeiaDomainT<poly::Polyhedron>>,
               "LEIA over polyhedra must satisfy the PMA interface");

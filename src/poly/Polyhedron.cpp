@@ -3,6 +3,7 @@
 #include "poly/Polyhedron.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <unordered_map>
@@ -321,10 +322,22 @@ std::vector<ConeRow> poly::dualize(const std::vector<ConeRow> &Input,
 
     // Combinatorial adjacency test: two extreme rays are adjacent iff no
     // third ray saturates every processed constraint they both saturate.
+    // Before that O(rays) scan, a necessary condition (Fukuda & Prodon,
+    // "Double description method revisited", 1996): adjacent rays span a
+    // face of dimension Lines + 2, whose constraints tight everywhere are
+    // exactly the ones both rays saturate, so those have rank, hence
+    // count, at least Cols - Lines - 2.
     std::vector<uint64_t> Common(Words);
+    const ptrdiff_t MinCommon = static_cast<ptrdiff_t>(Cols) -
+                                static_cast<ptrdiff_t>(Lines.size()) - 2;
     auto Adjacent = [&](size_t A, size_t B) {
-      for (size_t W = 0; W != Words; ++W)
+      ptrdiff_t Shared = 0;
+      for (size_t W = 0; W != Words; ++W) {
         Common[W] = SatRow(A)[W] & SatRow(B)[W];
+        Shared += std::popcount(Common[W]);
+      }
+      if (Shared < MinCommon)
+        return false;
       for (size_t Other : Rays) {
         if (Other == A || Other == B)
           continue;
@@ -426,12 +439,20 @@ Polyhedron Polyhedron::fromConstraintRows(unsigned Dim,
                            });
     if (P.Empty) {
       P.Gens.clear();
-    } else {
-      P.Cons = dualize(P.Gens, Dim + 1);
-      P.Cons.erase(std::remove_if(P.Cons.begin(), P.Cons.end(),
-                                  isTrivialConstraint),
-                   P.Cons.end());
-      // Re-minimize the generator side against the minimal constraints.
+      return P;
+    }
+    P.Cons = dualize(P.Gens, Dim + 1);
+    P.Cons.erase(std::remove_if(P.Cons.begin(), P.Cons.end(),
+                                isTrivialConstraint),
+                 P.Cons.end());
+    // Without a line the cone is pointed: its minimal generators are its
+    // extreme rays, each a unique primitive row once normalized, so the
+    // sorted first pass is already what re-minimizing would return. With
+    // lines, the line basis and the rays' representatives depend on the
+    // pivot order, so the generator side is re-derived from the minimal
+    // constraints.
+    if (std::any_of(P.Gens.begin(), P.Gens.end(),
+                    [](const ConeRow &G) { return G.IsLinearity; })) {
       std::vector<ConeRow> MinimalCons = P.Cons;
       MinimalCons.push_back(positivityRow(Dim));
       P.Gens = dualize(MinimalCons, Dim + 1);

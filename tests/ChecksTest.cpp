@@ -461,16 +461,17 @@ TEST(SoundnessFuzzTest, IntervalAssertionsLeia) {
                          fuzz::randomInitPrologue(R, *Prog));
     fuzz::GroundTruth GT =
         fuzz::estimateGroundTruth(*Prog, *Planted, Seed + Round, Runs);
-    // Zones is the backend verify-corpus runs, the ladder the one `pmaf`
-    // runs by default. The ladder gets 60 updates. Under the default seed
-    // every round converges within 50 but two, which run long on the
-    // ladder and come out unproved: round 6 nests two probabilistic loops
-    // and needs 2,737 updates (3 s), and round 14's loop over a
-    // conditional gains EP facets at every iteration, so each update
-    // costs more than the last (0.5 s at 60 updates, 64 s at 120). See
-    // ROADMAP's Newton item.
+    // Zones is the backend verify-corpus runs, poly the one `pmaf` runs by
+    // default, and the ladder the other exact one. The exact backends get
+    // 60 updates. Under the default seed every round converges within 50
+    // but two, which run long on them and come out unproved: round 6
+    // nests two probabilistic loops and needs 2,737 updates (3 s on the
+    // ladder), and round 14's loop over a conditional gains EP facets at
+    // every iteration, so each update costs more than the last (0.5 s at
+    // 60 updates, 64 s at 120). See ROADMAP's Newton item.
     for (const auto &[Backend, Db] :
          {std::pair{"zones", checkLeiaProg<poly::Zones>(*Prog)},
+          std::pair{"poly", checkLeiaProg<poly::Polyhedron>(*Prog, 60)},
           std::pair{"ladder", checkLeiaProg<poly::LadderValue>(*Prog, 60)}}) {
       ASSERT_EQ(Db.total(), 1u) << Backend;
       EXPECT_EQ(fuzz::soundnessViolation(*Planted,

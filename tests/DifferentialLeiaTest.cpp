@@ -25,8 +25,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 using namespace pmaf;
 using namespace pmaf::core;
 using namespace pmaf::domains;
@@ -82,16 +80,12 @@ void expectBackendsAgree(const lang::Program &Prog, const std::string &Tag,
 
   // At the production tolerance the rounded chains stabilize exactly, so
   // even the *printed* invariants at the entry of main — what Table 1
-  // reports — must agree verbatim as sets. (The enumeration order follows
-  // the backend's constraint-list order, so sort both sides.)
+  // reports — must agree verbatim, line for line and in order.
   if (SolveTolerance == 1e-9) {
     unsigned Entry = Graph.proc(Prog.findProc("main")).Entry;
-    auto LadderInv =
-        LadderDom.describeInvariants(LadderResult.Values[Entry]);
-    auto PolyInv = PolyDom.describeInvariants(PolyResult.Values[Entry]);
-    std::sort(LadderInv.begin(), LadderInv.end());
-    std::sort(PolyInv.begin(), PolyInv.end());
-    EXPECT_EQ(LadderInv, PolyInv) << Tag << ": printed invariants diverge";
+    EXPECT_EQ(LadderDom.describeInvariants(LadderResult.Values[Entry]),
+              PolyDom.describeInvariants(PolyResult.Values[Entry]))
+        << Tag << ": printed invariants diverge";
   }
 }
 

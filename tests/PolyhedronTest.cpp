@@ -660,15 +660,44 @@ std::vector<ConeRow> randomSystem(Rng &R, unsigned Cols, bool Generators) {
   return Rows;
 }
 
+/// The randomSystem of one seed: 2..10 columns, generator-like rows for
+/// even seeds and constraint-like ones for odd seeds.
+std::vector<ConeRow> seededSystem(uint64_t Seed) {
+  Rng R(Seed * 7727);
+  unsigned Cols = 2 + static_cast<unsigned>(R.below(9));
+  return randomSystem(R, Cols, /*Generators=*/Seed % 2 == 0);
+}
+
+/// Systems shaped like the analyses' own: a bounding box plus random
+/// halfspaces and equalities, as normalized constraint rows over 1..5
+/// variables.
+std::vector<ConeRow> boxedSystem(uint64_t Seed) {
+  Rng R(Seed);
+  unsigned Dim = 1 + static_cast<unsigned>(R.below(5));
+  std::vector<ConeRow> Rows;
+  for (unsigned I = 0; I != Dim; ++I)
+    for (int64_t Sign : {1, -1}) {
+      ConeRow Bound;
+      Bound.Coeffs.assign(Dim + 1, BigInt(0));
+      Bound.Coeffs[0] = BigInt(4);
+      Bound.Coeffs[I + 1] = BigInt(Sign);
+      Rows.push_back(std::move(Bound));
+    }
+  for (unsigned I = 0, N = static_cast<unsigned>(R.below(6)); I != N; ++I) {
+    ConeRow Row = randomRow(R, Dim + 1, false);
+    if (Row.normalize())
+      Rows.push_back(std::move(Row));
+  }
+  return Rows;
+}
+
 } // namespace
 
 TEST(DualizeTest, MatchesRecomputedSaturationRowForRow) {
   unsigned Compared = 0;
   for (uint64_t Seed = 1; Seed != 241; ++Seed) {
-    Rng R(Seed * 7727);
-    unsigned Cols = 2 + static_cast<unsigned>(R.below(9)); // 2..10
-    bool Generators = Seed % 2 == 0;
-    std::vector<ConeRow> Input = randomSystem(R, Cols, Generators);
+    std::vector<ConeRow> Input = seededSystem(Seed);
+    unsigned Cols = static_cast<unsigned>(Input[0].Coeffs.size());
     std::vector<ConeRow> Got = dualize(Input, Cols);
     std::vector<ConeRow> Want = referenceDualize(Input, Cols);
     ASSERT_EQ(Got, Want) << "seed " << Seed << ", " << Cols << " columns";
@@ -682,25 +711,9 @@ TEST(DualizeTest, MatchesRecomputedSaturationRowForRow) {
 }
 
 TEST(DualizeTest, MatchesOnPolyhedraOfTheStressSweeps) {
-  // Systems shaped like the analyses' own: a bounding box plus random
-  // halfspaces and equalities, as normalized constraint rows.
   for (uint64_t Seed = 1; Seed != 41; ++Seed) {
-    Rng R(Seed);
-    unsigned Dim = 1 + static_cast<unsigned>(R.below(5));
-    std::vector<ConeRow> Rows;
-    for (unsigned I = 0; I != Dim; ++I)
-      for (int64_t Sign : {1, -1}) {
-        ConeRow Bound;
-        Bound.Coeffs.assign(Dim + 1, BigInt(0));
-        Bound.Coeffs[0] = BigInt(4);
-        Bound.Coeffs[I + 1] = BigInt(Sign);
-        Rows.push_back(std::move(Bound));
-      }
-    for (unsigned I = 0, N = static_cast<unsigned>(R.below(6)); I != N; ++I) {
-      ConeRow Row = randomRow(R, Dim + 1, false);
-      if (Row.normalize())
-        Rows.push_back(std::move(Row));
-    }
+    std::vector<ConeRow> Rows = boxedSystem(Seed);
+    unsigned Dim = static_cast<unsigned>(Rows[0].Coeffs.size()) - 1;
     std::vector<ConeRow> Gens = dualize(Rows, Dim + 1);
     ASSERT_EQ(Gens, referenceDualize(Rows, Dim + 1)) << "seed " << Seed;
     ASSERT_EQ(dualize(Gens, Dim + 1), referenceDualize(Gens, Dim + 1))
@@ -734,4 +747,158 @@ TEST(DualizeTest, MatchesWithSaturationRowsWiderThanOneWord) {
     ASSERT_EQ(dualize(Gens, Cols), referenceDualize(Gens, Cols))
         << "seed " << Seed;
   }
+}
+
+TEST(DualizeTest, MatchesOnSystemsOfTenOrMoreColumns) {
+  // Wide enough that the adjacency prefilter's bound, Cols - Lines - 2,
+  // rejects pairs before the coverage scan.
+  unsigned Compared = 0;
+  for (uint64_t Seed = 1; Seed != 25; ++Seed) {
+    Rng R(Seed * 104729);
+    unsigned Cols = 10 + static_cast<unsigned>(R.below(3)); // 10..12
+    bool Generators = Seed % 2 == 0;
+    std::vector<ConeRow> Input = randomSystem(R, Cols, Generators);
+    std::vector<ConeRow> Got = dualize(Input, Cols);
+    ASSERT_EQ(Got, referenceDualize(Input, Cols))
+        << "seed " << Seed << ", " << Cols << " columns";
+    ASSERT_EQ(dualize(Got, Cols), referenceDualize(Got, Cols))
+        << "seed " << Seed << " round trip";
+    ++Compared;
+  }
+  EXPECT_EQ(Compared, 24u);
+}
+
+//===----------------------------------------------------------------------===//
+// The constraint-side conversion against its three-pass reference
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+ConeRow referencePositivityRow(unsigned Dim) {
+  ConeRow Row;
+  Row.Coeffs.assign(Dim + 1, BigInt(0));
+  Row.Coeffs[0] = BigInt(1);
+  return Row;
+}
+
+bool referenceIsTrivialConstraint(const ConeRow &Row) {
+  for (size_t I = 1; I != Row.Coeffs.size(); ++I)
+    if (!Row.Coeffs[I].isZero())
+      return false;
+  if (Row.IsLinearity)
+    return Row.Coeffs[0].isZero();
+  return Row.Coeffs[0].sign() >= 0;
+}
+
+struct ReferenceConversion {
+  bool Empty = true;
+  std::vector<ConeRow> Cons, Gens;
+};
+
+/// Converting a constraint system with three dualizations whatever the
+/// cone: its generators, their minimal constraints, and the generators
+/// re-derived from those.
+ReferenceConversion referenceFromConstraintRows(unsigned Dim,
+                                                std::vector<ConeRow> Rows) {
+  std::vector<ConeRow> Input;
+  for (ConeRow &Row : Rows)
+    if (Row.normalize())
+      Input.push_back(std::move(Row));
+  Input.push_back(referencePositivityRow(Dim));
+  referenceSortAndDedup(Input);
+
+  ReferenceConversion Out;
+  Out.Gens = referenceDualize(Input, Dim + 1);
+  Out.Empty = std::none_of(Out.Gens.begin(), Out.Gens.end(),
+                           [](const ConeRow &G) {
+                             return !G.IsLinearity && G.Coeffs[0].sign() > 0;
+                           });
+  if (Out.Empty) {
+    Out.Gens.clear();
+    return Out;
+  }
+  Out.Cons = referenceDualize(Out.Gens, Dim + 1);
+  Out.Cons.erase(std::remove_if(Out.Cons.begin(), Out.Cons.end(),
+                                referenceIsTrivialConstraint),
+                 Out.Cons.end());
+  std::vector<ConeRow> MinimalCons = Out.Cons;
+  MinimalCons.push_back(referencePositivityRow(Dim));
+  Out.Gens = referenceDualize(MinimalCons, Dim + 1);
+  return Out;
+}
+
+/// Reads integer cone rows (column 0 the constant) as constraints over
+/// Dim variables.
+std::vector<Constraint> asConstraints(const std::vector<ConeRow> &Rows,
+                                      unsigned Dim) {
+  std::vector<Constraint> Cons;
+  for (const ConeRow &Row : Rows) {
+    LinearExpr E(Dim);
+    E.constantTerm() = Rational(Row.Coeffs[0], BigInt(1));
+    for (unsigned I = 0; I != Dim; ++I)
+      E.coeff(I) = Rational(Row.Coeffs[I + 1], BigInt(1));
+    Cons.push_back({E, Row.IsLinearity ? Constraint::Kind::Eq
+                                       : Constraint::Kind::Ge});
+  }
+  return Cons;
+}
+
+bool hasLine(const std::vector<ConeRow> &Gens) {
+  return std::any_of(Gens.begin(), Gens.end(),
+                     [](const ConeRow &G) { return G.IsLinearity; });
+}
+
+} // namespace
+
+TEST(PolyhedronTest, ConstraintConversionMatchesThreePassReference) {
+  // DualizeTest's seeded systems read as constraint systems, then the
+  // stress sweeps' bounded ones: every kind of cone the analyses meet.
+  std::vector<std::vector<ConeRow>> Systems;
+  for (uint64_t Seed = 1; Seed != 241; ++Seed)
+    Systems.push_back(seededSystem(Seed));
+  for (uint64_t Seed = 1; Seed != 41; ++Seed)
+    Systems.push_back(boxedSystem(Seed));
+
+  clearConversionCaches();
+  unsigned Pointed = 0, WithLines = 0, WithEqualities = 0, Empty = 0;
+  for (size_t I = 0; I != Systems.size(); ++I) {
+    const std::vector<ConeRow> &Rows = Systems[I];
+    unsigned Dim = static_cast<unsigned>(Rows[0].Coeffs.size()) - 1;
+    Polyhedron P = Polyhedron::fromConstraints(Dim, asConstraints(Rows, Dim));
+    ReferenceConversion Want = referenceFromConstraintRows(Dim, Rows);
+    ASSERT_EQ(P.isEmpty(), Want.Empty) << "system " << I;
+    ASSERT_EQ(P.constraints(), Want.Cons) << "system " << I;
+    ASSERT_EQ(P.generators(), Want.Gens) << "system " << I;
+    Empty += Want.Empty;
+    Pointed += !Want.Empty && !hasLine(Want.Gens);
+    WithLines += !Want.Empty && hasLine(Want.Gens);
+    WithEqualities += std::any_of(Rows.begin(), Rows.end(),
+                                  [](const ConeRow &R) {
+                                    return R.IsLinearity;
+                                  });
+  }
+  EXPECT_GT(Pointed, 0u);
+  EXPECT_GT(WithLines, 0u);
+  EXPECT_GT(WithEqualities, 0u);
+  EXPECT_GT(Empty, 0u);
+}
+
+TEST(PolyhedronTest, PointedConversionRunsTwoChernikovaPasses) {
+  clearConversionCaches();
+  auto Calls = [] {
+    return numericCounters().MinimizationCalls.load(std::memory_order_relaxed);
+  };
+  // {x >= 0, y >= 0}: a pointed cone, so no re-minimizing pass.
+  uint64_t Before = Calls();
+  Polyhedron Quadrant = Polyhedron::fromConstraints(
+      2, {Constraint::ge(var(2, 0), cst(2, 0)),
+          Constraint::ge(var(2, 1), cst(2, 0))});
+  EXPECT_EQ(Calls() - Before, 2u);
+  EXPECT_FALSE(hasLine(Quadrant.generators()));
+  // {x >= 0}: the cone keeps y's line, and the generators are re-derived.
+  Before = Calls();
+  Polyhedron HalfPlane =
+      Polyhedron::fromConstraints(2, {Constraint::ge(var(2, 0), cst(2, 0))});
+  EXPECT_EQ(Calls() - Before, 3u);
+  EXPECT_TRUE(hasLine(HalfPlane.generators()));
 }

@@ -30,10 +30,10 @@
 // --diag-format=json renders machine-readable diagnostics.
 //
 // --numeric (LEIA only) selects the numeric backend of the domain
-// (core::NumericBackend): `poly` is the monolithic-polyhedra baseline of
-// §5.3, `ladder` (the default) the exact packed/escalating backend of
-// poly/Ladder.h, and `zones`/`intervals` are cheap sound
-// over-approximations restricted to their fragment.
+// (core::NumericBackend): `poly` (the default) is the monolithic polyhedra
+// of §5.3, `ladder` the exact packed/escalating backend of poly/Ladder.h,
+// and `zones`/`intervals` are cheap sound over-approximations restricted
+// to their fragment.
 //
 // The solver knobs map onto core::SolverOptions: --widening-delay the
 // number of plain updates before widening kicks in (BI never widens, so
@@ -41,7 +41,8 @@
 // node-update budget. Every solve runs on one thread, iterating a
 // worklist in WTO order (core/Solver.h). --stats prints the settings the
 // domain uses, the solve's counters (core::SolverStats) including the
-// interpret-cache traffic and the numeric-layer counters, and the wall
+// interpret-cache traffic and the numeric-layer counters (the ladder's
+// escalations and pack width only under --numeric=ladder), and the wall
 // clock of the solve. For LEIA the solver line also counts the
 // extrapolated loop-head fixpoints (offered / accepted by the exact
 // check) and says whether one exact pass confirms F(X) ⊑ X at every node
@@ -213,14 +214,17 @@ struct AnalyzeConfig {
                 S.Converged ? "yes" : "NO", U(S.InterpretCalls),
                 U(S.InterpretCacheHits), SolveSeconds);
     const core::NumericLayerStats &N = S.Numeric;
-    if (N.MinimizationCalls > 0 || N.ConversionCacheHits > 0)
-      std::printf("; numeric layer: %llu Chernikova minimizations (peak %u "
-                  "generator rows), conversion cache %llu hits / %llu misses "
-                  "(%llu evictions)\n"
-                  "; ladder: %llu escalations, max pack width %u\n",
-                  U(N.MinimizationCalls), N.PeakGeneratorRows,
-                  U(N.ConversionCacheHits), U(N.ConversionCacheMisses),
-                  U(N.CacheEvictions), U(N.Escalations), N.MaxPackWidth);
+    if (N.MinimizationCalls == 0 && N.ConversionCacheHits == 0)
+      return;
+    std::printf("; numeric layer: %llu Chernikova minimizations (peak %u "
+                "generator rows), conversion cache %llu hits / %llu misses "
+                "(%llu evictions)\n",
+                U(N.MinimizationCalls), N.PeakGeneratorRows,
+                U(N.ConversionCacheHits), U(N.ConversionCacheMisses),
+                U(N.CacheEvictions));
+    if (Opts.Numeric == core::NumericBackend::Ladder)
+      std::printf("; ladder: %llu escalations, max pack width %u\n",
+                  U(N.Escalations), N.MaxPackWidth);
   }
 };
 
