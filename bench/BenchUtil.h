@@ -77,9 +77,7 @@ struct BenchRecord {
   uint64_t ChernikovaCalls = 0;
   uint64_t ConversionCacheHits = 0;
   uint64_t ConversionCacheMisses = 0;
-  uint64_t Escalations = 0;
   unsigned PeakGeneratorRows = 0;
-  unsigned MaxPackWidth = 0;
   /// Time of one solve that started with the memo caches cleared, or
   /// negative when the bench does not measure one (the key is omitted).
   double ColdSeconds = -1.0;
@@ -143,14 +141,13 @@ public:
             Out,
             ", \"numeric\": \"%s\", \"chernikova_calls\": %llu, "
             "\"conversion_cache_hits\": %llu, "
-            "\"conversion_cache_misses\": %llu, \"escalations\": %llu, "
-            "\"peak_generator_rows\": %u, \"max_pack_width\": %u",
+            "\"conversion_cache_misses\": %llu, "
+            "\"peak_generator_rows\": %u",
             escape(R.NumericBackend).c_str(),
             static_cast<unsigned long long>(R.ChernikovaCalls),
             static_cast<unsigned long long>(R.ConversionCacheHits),
             static_cast<unsigned long long>(R.ConversionCacheMisses),
-            static_cast<unsigned long long>(R.Escalations),
-            R.PeakGeneratorRows, R.MaxPackWidth);
+            R.PeakGeneratorRows);
       if (R.PostFixpointChecked)
         std::fprintf(Out,
                      ", \"extrapolations\": %llu, "

@@ -11,9 +11,9 @@
 // its result passes the exact post-fixpoint check (core::isPostFixpoint).
 //
 // Flags (beyond google-benchmark's own):
-//   --numeric=poly|ladder|zones|intervals  numeric backend (default poly)
-//   --programs=a,b,c                       run only the named benchmarks
-//   --json=<path>                          write BENCH_*.json records
+//   --numeric=poly|zones  numeric backend (default poly)
+//   --programs=a,b,c      run only the named benchmarks
+//   --json=<path>         write BENCH_*.json records
 //
 //===----------------------------------------------------------------------===//
 
@@ -91,8 +91,8 @@ int runTable(const std::string &JsonPath) {
       continue;
     auto Prog = lang::parseProgramOrDie(Bench.Source);
     cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
-    // Per-program peak counters (generator rows, pack width): the solver
-    // reports process-wide peaks, so reset them before the measured run.
+    // Per-program peak counter (generator rows): the solver reports the
+    // process-wide peak, so reset it before the measured run.
     // Clearing the conversion caches makes the first solve cold.
     poly::resetNumericPeaks();
     poly::clearConversionCaches();
@@ -118,9 +118,7 @@ int runTable(const std::string &JsonPath) {
       Record.ConversionCacheHits = Result.Stats.Numeric.ConversionCacheHits;
       Record.ConversionCacheMisses =
           Result.Stats.Numeric.ConversionCacheMisses;
-      Record.Escalations = Result.Stats.Numeric.Escalations;
       Record.PeakGeneratorRows = Result.Stats.Numeric.PeakGeneratorRows;
-      Record.MaxPackWidth = Result.Stats.Numeric.MaxPackWidth;
       Record.Extrapolations = Result.Stats.Extrapolations;
       Record.ExtrapolationsAccepted = Result.Stats.ExtrapolationsAccepted;
       Box B(*Prog);
@@ -164,10 +162,10 @@ int main(int argc, char **argv) {
     auto Parsed = parseNumericBackend(NumericArg);
     if (!Parsed) {
       std::fprintf(stderr,
-                   "error: unknown --numeric backend '%s' "
-                   "(expected poly, ladder, zones, or intervals)\n",
-                   NumericArg.c_str());
-      return 1;
+                   "error: unknown numeric backend '%s' (expected %s) "
+                   "[invalid-flag-value]\n",
+                   NumericArg.c_str(), NumericBackendNames);
+      return 2;
     }
     BenchNumeric = *Parsed;
   }

@@ -398,22 +398,14 @@ ChecksDb checks::checkLeia(const domains::LeiaDomainT<NumV> &Dom,
   return Db;
 }
 
-// The four numeric backends of LeiaDomainT.
+// The two numeric backends of LeiaDomainT.
 template ChecksDb checks::checkLeia<poly::Polyhedron>(
     const domains::LeiaDomainT<poly::Polyhedron> &, const cfg::ProgramGraph &,
     const std::vector<domains::LeiaValueT<poly::Polyhedron>> &,
     const CheckerOptions &);
-template ChecksDb checks::checkLeia<poly::LadderValue>(
-    const domains::LeiaDomainT<poly::LadderValue> &, const cfg::ProgramGraph &,
-    const std::vector<domains::LeiaValueT<poly::LadderValue>> &,
-    const CheckerOptions &);
 template ChecksDb checks::checkLeia<poly::Zones>(
     const domains::LeiaDomainT<poly::Zones> &, const cfg::ProgramGraph &,
     const std::vector<domains::LeiaValueT<poly::Zones>> &,
-    const CheckerOptions &);
-template ChecksDb checks::checkLeia<poly::Intervals>(
-    const domains::LeiaDomainT<poly::Intervals> &, const cfg::ProgramGraph &,
-    const std::vector<domains::LeiaValueT<poly::Intervals>> &,
     const CheckerOptions &);
 
 //===----------------------------------------------------------------------===//

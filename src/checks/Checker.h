@@ -136,7 +136,7 @@ ChecksDb checkMdp(const cfg::ProgramGraph &Graph,
                   const CheckerOptions &Opts);
 
 /// Checks every assertion against LEIA node values; instantiated for the
-/// four numeric backends.
+/// two numeric backends.
 template <poly::NumericDomain NumV>
 ChecksDb checkLeia(const domains::LeiaDomainT<NumV> &Dom,
                    const cfg::ProgramGraph &Graph,

@@ -71,30 +71,25 @@ concept PreMarkovAlgebra = requires(
 };
 
 /// Counters of the numeric-domain layer under an abstract domain built on
-/// the poly backends (Polyhedron, Zones, Intervals, LadderValue). Solvers
-/// over domains that report them (ReportsNumericStats below) deliver
-/// per-solve deltas of the monotone counters and current high-water marks
-/// for the peaks.
+/// the poly backends (Polyhedron, Zones). Solvers over domains that report
+/// them (ReportsNumericStats below) deliver per-solve deltas of the
+/// monotone counters and current high-water marks for the peaks.
 struct NumericLayerStats {
-  /// Chernikova (double-description) minimization passes — the
-  /// conversion cost the ladder exists to avoid.
+  /// Chernikova (double-description) minimization passes — the numeric
+  /// layer's dominant cost.
   uint64_t MinimizationCalls = 0;
   /// Constraint⇄generator conversion memo traffic inside Polyhedron.
   uint64_t ConversionCacheHits = 0;
   uint64_t ConversionCacheMisses = 0;
   /// Memo entries the bounded caches dropped at their caps.
   uint64_t CacheEvictions = 0;
-  /// Times a ladder block climbed a rung (box → zone → poly).
-  uint64_t Escalations = 0;
   /// Widest intermediate generator matrix any minimization built.
   unsigned PeakGeneratorRows = 0;
-  /// Widest variable pack a ladder operation coupled.
-  unsigned MaxPackWidth = 0;
 };
 
 /// Opt-in reporting of numeric-layer counters: a domain built on the
-/// poly backends may expose the process-wide conversion/escalation
-/// counters (poly::numericCounters) as a snapshot, and the solver then
+/// poly backends may expose the process-wide conversion counters
+/// (poly::numericCounters) as a snapshot, and the solver then
 /// attributes per-solve deltas to SolverStats.
 /// The method is static — the counters are a property of the numeric
 /// layer, not of one domain instance.

@@ -62,41 +62,35 @@
 namespace pmaf {
 namespace core {
 
-/// The numeric backend of the polyhedra-based domains (the LEIA ladder,
-/// Issue 6). The solver itself is domain-generic; this enum travels in
-/// SolverOptions so harnesses (tools/pmaf, bench_leia) can carry one
-/// backend choice through to the domain instantiation they dispatch on.
+/// The numeric backend of the LEIA domain. The solver itself is
+/// domain-generic; this enum travels in SolverOptions so harnesses
+/// (tools/pmaf, bench_leia, pmafd) can carry one backend choice through to
+/// the domain instantiation they dispatch on (driver::withLeiaBox).
 enum class NumericBackend {
-  Poly,      ///< Monolithic polyhedra (the §5.3 baseline).
-  Ladder,    ///< Packed intervals→zones→polyhedra escalation; exact.
-  Zones,     ///< Difference bounds only; sound over-approximation.
-  Intervals, ///< Per-variable bounds only; sound over-approximation.
+  Poly,  ///< Monolithic polyhedra (the §5.3 baseline); exact.
+  Zones, ///< Difference bounds only; sound over-approximation.
+  /// Never parsed: the enumerators of two deleted backends, kept only
+  /// because the repository benchmark (perfbench/driver.cpp) names them,
+  /// and mapped to Poly and Zones by driver::withLeiaBox. Remove them with
+  /// its next revision.
+  Ladder,
+  Intervals,
 };
 
+/// The name of a backend parseNumericBackend produces.
 inline const char *toString(NumericBackend Backend) {
-  switch (Backend) {
-  case NumericBackend::Poly:
-    return "poly";
-  case NumericBackend::Ladder:
-    return "ladder";
-  case NumericBackend::Zones:
-    return "zones";
-  case NumericBackend::Intervals:
-    return "intervals";
-  }
-  return "?";
+  return Backend == NumericBackend::Zones ? "zones" : "poly";
 }
+
+/// The backend names parseNumericBackend accepts, for diagnostics.
+inline constexpr const char *NumericBackendNames = "poly, zones";
 
 inline std::optional<NumericBackend>
 parseNumericBackend(std::string_view Name) {
   if (Name == "poly")
     return NumericBackend::Poly;
-  if (Name == "ladder")
-    return NumericBackend::Ladder;
   if (Name == "zones")
     return NumericBackend::Zones;
-  if (Name == "intervals")
-    return NumericBackend::Intervals;
   return std::nullopt;
 }
 
@@ -117,11 +111,9 @@ struct SolverOptions {
   /// that assignment.
   unsigned Jobs = 1;
 
-  /// Numeric backend for polyhedra-based domains. Consumed by the
-  /// harnesses when they construct the domain (the solver template never
-  /// reads it — the backend is baked into the domain type). Monolithic
-  /// polyhedra by default: the same invariants as the ladder, in less
-  /// time on the paper's programs.
+  /// Numeric backend of the LEIA domain. Consumed by the harnesses when
+  /// they construct the domain (the solver template never reads it — the
+  /// backend is baked into the domain type). Exact polyhedra by default.
   NumericBackend Numeric = NumericBackend::Poly;
 };
 
@@ -380,10 +372,7 @@ solve(CompiledProgram<D> &Compiled, const SolverOptions &Opts = {},
         Now.ConversionCacheMisses - NumericBefore.ConversionCacheMisses;
     Result.Stats.Numeric.CacheEvictions =
         Now.CacheEvictions - NumericBefore.CacheEvictions;
-    Result.Stats.Numeric.Escalations =
-        Now.Escalations - NumericBefore.Escalations;
     Result.Stats.Numeric.PeakGeneratorRows = Now.PeakGeneratorRows;
-    Result.Stats.Numeric.MaxPackWidth = Now.MaxPackWidth;
   }
   return Result;
 }

@@ -53,10 +53,8 @@ core::NumericLayerStats LeiaDomainT<NumV>::numericStats() {
   S.ConversionCacheMisses =
       C.ConversionCacheMisses.load(std::memory_order_relaxed);
   S.CacheEvictions = C.CacheEvictions.load(std::memory_order_relaxed);
-  S.Escalations = C.LadderEscalations.load(std::memory_order_relaxed);
   S.PeakGeneratorRows =
       C.PeakGeneratorRows.load(std::memory_order_relaxed);
-  S.MaxPackWidth = C.MaxPackWidth.load(std::memory_order_relaxed);
   return S;
 }
 
@@ -893,9 +891,7 @@ namespace pmaf {
 namespace domains {
 
 template class LeiaDomainT<poly::Polyhedron>;
-template class LeiaDomainT<poly::LadderValue>;
 template class LeiaDomainT<poly::Zones>;
-template class LeiaDomainT<poly::Intervals>;
 
 } // namespace domains
 } // namespace pmaf

@@ -31,13 +31,11 @@
 /// follow a linear recurrence; the solver keeps it only on an exact check.
 ///
 /// The domain is a template over the numeric backend NumV
-/// (poly/NumericDomain.h): monolithic polyhedra (the default) reproduce
-/// the original §5.3 evaluation; the ladder backend (poly/Ladder.h)
-/// computes the *same* sets through packed, lazily-escalated
-/// representations; the standalone zones/intervals backends are cheap
-/// sound over-approximations (they drop constraints outside their
-/// fragment). The §5.3 operator sequence is byte-for-byte identical
-/// across backends — only the representation underneath changes.
+/// (poly/NumericDomain.h), instantiated twice: monolithic polyhedra (the
+/// default) reproduce the original §5.3 evaluation exactly, and zones are
+/// a cheap sound over-approximation (they drop constraints outside the
+/// difference-bound fragment). The §5.3 operator sequence is identical
+/// across the two — only the representation underneath changes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,8 +43,6 @@
 #define PMAF_DOMAINS_LEIADOMAIN_H
 
 #include "core/Domain.h"
-#include "poly/Intervals.h"
-#include "poly/Ladder.h"
 #include "poly/Polyhedron.h"
 #include "poly/Zones.h"
 
@@ -55,6 +51,19 @@
 #include <vector>
 
 namespace pmaf {
+namespace poly {
+
+/// The names of two deleted backends, which the repository benchmark
+/// (perfbench/driver.cpp) still spells in a switch branch that never runs.
+/// The ladder denoted exactly the sets a Polyhedron does, and intervals map
+/// to the one remaining sound cheap backend, as driver::withLeiaBox maps
+/// their NumericBackend enumerators. Delete both with the benchmark's next
+/// revision.
+using LadderValue = Polyhedron;
+using Intervals = Zones;
+
+} // namespace poly
+
 namespace domains {
 
 /// A LEIA value: the product of an ordinary and an expectation component,
@@ -202,12 +211,10 @@ private:
   std::vector<unsigned> ProbPermA, ProbPermB;
 };
 
-// The template is explicitly instantiated (LeiaDomain.cpp) for the four
+// The template is explicitly instantiated (LeiaDomain.cpp) for the two
 // numeric backends; everything else picks one of these.
 extern template class LeiaDomainT<poly::Polyhedron>;
-extern template class LeiaDomainT<poly::LadderValue>;
 extern template class LeiaDomainT<poly::Zones>;
-extern template class LeiaDomainT<poly::Intervals>;
 
 /// The default LEIA instantiation: monolithic polyhedra (`--numeric=poly`,
 /// core::SolverOptions' default backend).
@@ -216,12 +223,8 @@ using LeiaDomain = LeiaDomainT<poly::Polyhedron>;
 
 static_assert(core::PreMarkovAlgebra<LeiaDomainT<poly::Polyhedron>>,
               "LEIA over polyhedra must satisfy the PMA interface");
-static_assert(core::PreMarkovAlgebra<LeiaDomainT<poly::LadderValue>>,
-              "LEIA over the ladder must satisfy the PMA interface");
 static_assert(core::PreMarkovAlgebra<LeiaDomainT<poly::Zones>>,
               "LEIA over zones must satisfy the PMA interface");
-static_assert(core::PreMarkovAlgebra<LeiaDomainT<poly::Intervals>>,
-              "LEIA over intervals must satisfy the PMA interface");
 static_assert(core::ReportsNumericStats<LeiaDomain>,
               "LEIA must report numeric-layer stats to the solver");
 static_assert(core::Extrapolates<LeiaDomain>,

@@ -120,19 +120,20 @@ std::string render(const Box &B, const lang::Program &P,
 }
 
 /// Calls \p Fn(std::type_identity<Box>{}) for the LEIA box over \p Numeric.
+/// The enumerators of the deleted backends, which no parser produces, map
+/// as their type aliases do (domains/LeiaDomain.h): Ladder to the poly box,
+/// Intervals to the zones box.
 template <typename F>
 decltype(auto) withLeiaBox(core::NumericBackend Numeric, F &&Fn) {
   switch (Numeric) {
-  case core::NumericBackend::Poly:
-    return Fn(std::type_identity<LeiaBox<poly::Polyhedron>>{});
   case core::NumericBackend::Zones:
-    return Fn(std::type_identity<LeiaBox<poly::Zones>>{});
   case core::NumericBackend::Intervals:
-    return Fn(std::type_identity<LeiaBox<poly::Intervals>>{});
+    return Fn(std::type_identity<LeiaBox<poly::Zones>>{});
+  case core::NumericBackend::Poly:
   case core::NumericBackend::Ladder:
     break;
   }
-  return Fn(std::type_identity<LeiaBox<poly::LadderValue>>{});
+  return Fn(std::type_identity<LeiaBox<poly::Polyhedron>>{});
 }
 
 /// Calls \p Fn(std::type_identity<Box>{}) for the box of \p Domain.

@@ -16,17 +16,13 @@
 ///   * Polyhedron (Polyhedron.h)  — full convex polyhedra, the
 ///     double-description substrate; exact and complete, cost dominated by
 ///     Chernikova conversions;
-///   * Intervals  (Intervals.h)   — per-variable bounds; exact only for
-///     the `x <= c` fragment, over-approximates everything else;
 ///   * Zones      (Zones.h)       — difference-bound matrices with
-///     closure; exact for the `x - y <= c, x <= c` fragment;
-///   * LadderValue (Ladder.h)     — the domain ladder: a variable-packed
-///     product of blocks, each held at the cheapest backend that is still
-///     *exact* for it, escalating intervals → zones → polyhedra lazily.
+///     closure; exact for the `x - y <= c, x <= c` fragment, a sound
+///     over-approximation elsewhere.
 ///
 /// The file also hosts the numeric-layer cost counters (Chernikova
-/// minimization calls, conversion-cache traffic, ladder escalations, pack
-/// widths) that the solver surfaces through SolverStats / `--stats`.
+/// minimization calls, conversion-cache traffic, peak generator rows) that
+/// the solver surfaces through SolverStats / `--stats`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,7 +74,7 @@ concept NumericDomain = requires(const V &A, const V &B, const Constraint &C,
   { A.toString(Names) } -> std::same_as<std::string>;
 };
 
-/// The constraint fragments the ladder distinguishes. Classification is
+/// The constraint fragments of the zone backend. Classification is
 /// scale-invariant: `2x - 2y >= 3` is a Difference, `3z == 1` a Bound.
 enum class ConstraintClass {
   /// No variable occurs: the constraint is trivially true or false.
@@ -92,7 +88,7 @@ enum class ConstraintClass {
   General,
 };
 
-/// Classifies \p Con into the ladder fragments.
+/// Classifies \p Con into the zone fragments.
 ConstraintClass classifyConstraint(const Constraint &Con);
 
 /// Cost counters of the numeric layer, accumulated process-wide (relaxed
@@ -109,27 +105,25 @@ struct NumericCounters {
   /// Conversions that missed the cache (equals MinimizationCalls modulo
   /// the re-minimization passes a single construction performs).
   std::atomic<uint64_t> ConversionCacheMisses{0};
-  /// Always 0: the conversion memo is per-thread and shares nothing across
-  /// threads. Kept because the repository benchmark's driver reads it.
-  std::atomic<uint64_t> SharedCacheHits{0};
   /// Memo entries dropped by the bounded per-thread caches (each evicts
   /// about half its entries when it reaches its cap).
   std::atomic<uint64_t> CacheEvictions{0};
-  /// Ladder blocks promoted to a more expensive rung because a constraint
-  /// or image escaped the current fragment.
-  std::atomic<uint64_t> LadderEscalations{0};
   /// Peak generator-row count inside any single dualization.
   std::atomic<unsigned> PeakGeneratorRows{0};
-  /// Widest variable pack (block) the ladder has operated on.
-  std::atomic<unsigned> MaxPackWidth{0};
+  /// Always 0: the conversion memo is per-thread and shares nothing across
+  /// threads, and no backend escalates. Both are kept only because the
+  /// repository benchmark (perfbench/driver.cpp) reads them; remove them
+  /// with its next revision.
+  std::atomic<uint64_t> SharedCacheHits{0};
+  std::atomic<uint64_t> LadderEscalations{0};
 };
 
 /// The process-wide counter instance.
 NumericCounters &numericCounters();
 
-/// Resets the high-water marks (PeakGeneratorRows, MaxPackWidth) without
-/// touching the monotone counters; benchmark harnesses call this between
-/// programs so peaks are per-program evidence.
+/// Resets the high-water mark (PeakGeneratorRows) without touching the
+/// monotone counters; benchmark harnesses call this between programs so
+/// peaks are per-program evidence.
 void resetNumericPeaks();
 
 /// Relaxed fetch-max for the peak counters.
@@ -145,10 +139,10 @@ inline void atomicMax(std::atomic<unsigned> &Slot, unsigned Value) {
 /// roundConstraintRow in Polyhedron.h): values whose numerator and
 /// denominator fit \p MaxBits bits are returned unchanged. The result is
 /// orientation-independent because row rounding only inspects coefficient
-/// magnitudes, so boxes and zones share this one helper.
+/// magnitudes, so one helper serves bounds and difference entries alike.
 Rational roundedBoundValue(const Rational &V, unsigned MaxBits);
 
-/// Shared rendering of a constraint system, used by every backend's
+/// Shared rendering of a constraint system, used by both backends'
 /// toString so the output format is uniform.
 std::string renderConstraints(const std::vector<Constraint> &Cons,
                               const std::vector<std::string> &Names,

@@ -81,7 +81,6 @@ NumericCounters &poly::numericCounters() {
 
 void poly::resetNumericPeaks() {
   numericCounters().PeakGeneratorRows.store(0, std::memory_order_relaxed);
-  numericCounters().MaxPackWidth.store(0, std::memory_order_relaxed);
 }
 
 namespace {
@@ -551,63 +550,6 @@ Polyhedron Polyhedron::point(const std::vector<Rational> &Coords) {
   return fromGeneratorRows(Dim, {std::move(Row)});
 }
 
-Polyhedron Polyhedron::product(const Polyhedron &A, const Polyhedron &B) {
-  unsigned Dim = A.Dim + B.Dim;
-  if (A.Empty || B.Empty)
-    return empty(Dim);
-  Polyhedron P;
-  P.Dim = Dim;
-  P.Empty = false;
-
-  // Rows of either factor embed at their factor's column offset; the
-  // constant / homogeneous column is shared.
-  auto Embed = [&](const ConeRow &Row, unsigned Base) {
-    ConeRow Out;
-    Out.IsLinearity = Row.IsLinearity;
-    Out.Coeffs.assign(Dim + 1, BigInt(0));
-    Out.Coeffs[0] = Row.Coeffs[0];
-    for (size_t I = 1; I != Row.Coeffs.size(); ++I)
-      Out.Coeffs[Base + I] = Row.Coeffs[I];
-    return Out;
-  };
-
-  // Facets of A × B are exactly the embedded facets of the factors, so
-  // the constraint side stays minimal.
-  for (const ConeRow &Row : A.Cons)
-    P.Cons.push_back(Embed(Row, 0));
-  for (const ConeRow &Row : B.Cons)
-    P.Cons.push_back(Embed(Row, A.Dim));
-
-  // Generator side: recession rays and lines embed singly; points pair up
-  // after scaling both to the common homogeneous coordinate a0·b0.
-  for (const ConeRow &G : A.Gens)
-    if (G.IsLinearity || G.Coeffs[0].isZero())
-      P.Gens.push_back(Embed(G, 0));
-  for (const ConeRow &G : B.Gens)
-    if (G.IsLinearity || G.Coeffs[0].isZero())
-      P.Gens.push_back(Embed(G, A.Dim));
-  for (const ConeRow &GA : A.Gens) {
-    if (GA.IsLinearity || GA.Coeffs[0].isZero())
-      continue;
-    for (const ConeRow &GB : B.Gens) {
-      if (GB.IsLinearity || GB.Coeffs[0].isZero())
-        continue;
-      ConeRow Out;
-      Out.Coeffs.assign(Dim + 1, BigInt(0));
-      Out.Coeffs[0] = GA.Coeffs[0] * GB.Coeffs[0];
-      for (unsigned I = 0; I != A.Dim; ++I)
-        Out.Coeffs[1 + I] = GA.Coeffs[1 + I] * GB.Coeffs[0];
-      for (unsigned I = 0; I != B.Dim; ++I)
-        Out.Coeffs[1 + A.Dim + I] = GB.Coeffs[1 + I] * GA.Coeffs[0];
-      Out.normalize();
-      P.Gens.push_back(std::move(Out));
-    }
-  }
-  sortAndDedup(P.Cons);
-  sortAndDedup(P.Gens);
-  return P;
-}
-
 //===----------------------------------------------------------------------===//
 // Lattice operations
 //===----------------------------------------------------------------------===//
@@ -927,17 +869,5 @@ std::vector<Constraint> Polyhedron::constraintList() const {
 
 std::string
 Polyhedron::toString(const std::vector<std::string> &Names) const {
-  if (Empty)
-    return "{false}";
-  if (Cons.empty())
-    return "{true}";
-  std::string Out = "{";
-  bool First = true;
-  for (const Constraint &Con : constraintList()) {
-    if (!First)
-      Out += ", ";
-    First = false;
-    Out += Con.toString(Names);
-  }
-  return Out + "}";
+  return renderConstraints(constraintList(), Names, Empty);
 }

@@ -79,7 +79,7 @@ void clearConversionCaches();
 /// rows already within budget are kept exactly, wider rows are rescaled so
 /// the widest coefficient becomes 2^MaxBits with round-to-nearest on the
 /// rest (the §6.1 finite-precision convergence device). Shared by every
-/// numeric backend so rounding behaves identically at all ladder rungs.
+/// numeric backend so rounding behaves identically in polyhedra and zones.
 /// \returns true if the row was modified.
 bool roundConstraintRow(ConeRow &Row, unsigned MaxBits);
 
@@ -98,13 +98,6 @@ public:
 
   /// Constructs the single rational point \p Coords.
   static Polyhedron point(const std::vector<Rational> &Coords);
-
-  /// Cartesian product A × B over dim(A) + dim(B): A's variables first,
-  /// then B's. Computed directly on both minimized representations —
-  /// constraints embed with disjoint support, generator points pair up at
-  /// a common homogeneous coordinate — so no Chernikova conversion runs.
-  /// The ladder backend uses this to merge independent variable packs.
-  static Polyhedron product(const Polyhedron &A, const Polyhedron &B);
 
   unsigned dim() const { return Dim; }
   bool isEmpty() const { return Empty; }

@@ -79,8 +79,7 @@ bool Zones::addInPlace(const Constraint &Con) {
     return true;
   }
   case ConstraintClass::General:
-    // Outside the DBM fragment: drop (sound over-approximation). The
-    // ladder never reaches this path — it escalates the block first.
+    // Outside the DBM fragment: drop (sound over-approximation).
     return true;
   }
   return true;
@@ -366,53 +365,4 @@ bool Zones::entryFinite(unsigned I, unsigned J) const {
 const Rational &Zones::entryBound(unsigned I, unsigned J) const {
   assert(entryFinite(I, J) && "infinite entry has no bound");
   return at(I, J).Bound;
-}
-
-std::vector<std::vector<unsigned>> Zones::packComponents() const {
-  assert(!Empty && "components of an empty zone");
-  std::vector<unsigned> Parent(Dim);
-  for (unsigned I = 0; I != Dim; ++I)
-    Parent[I] = I;
-  auto Find = [&](unsigned I) {
-    while (Parent[I] != I) {
-      Parent[I] = Parent[Parent[I]];
-      I = Parent[I];
-    }
-    return I;
-  };
-  // A direct entry couples two variables only when it is strictly tighter
-  // than the path through v_0 — entries the closure merely derived from
-  // the two variables' own bounds do not prevent factoring.
-  auto StrictlyTight = [&](unsigned I, unsigned J) {
-    const Entry &Direct = at(I + 1, J + 1);
-    if (!Direct.Finite)
-      return false;
-    const Entry &IToZero = at(I + 1, 0), &ZeroToJ = at(0, J + 1);
-    if (!IToZero.Finite || !ZeroToJ.Finite)
-      return true;
-    return Direct.Bound < IToZero.Bound + ZeroToJ.Bound;
-  };
-  for (unsigned I = 0; I != Dim; ++I)
-    for (unsigned J = I + 1; J != Dim; ++J)
-      if (StrictlyTight(I, J) || StrictlyTight(J, I))
-        Parent[Find(I)] = Find(J);
-  std::vector<std::vector<unsigned>> Components(Dim);
-  for (unsigned I = 0; I != Dim; ++I)
-    Components[Find(I)].push_back(I);
-  Components.erase(std::remove_if(Components.begin(), Components.end(),
-                                  [](const std::vector<unsigned> &C) {
-                                    return C.empty();
-                                  }),
-                   Components.end());
-  return Components;
-}
-
-Zones Zones::restrictTo(const std::vector<unsigned> &Sub) const {
-  assert(!Empty && "restriction of an empty zone");
-  Zones Out = universe(static_cast<unsigned>(Sub.size()));
-  auto Map = [&](unsigned I) { return I == 0 ? 0u : Sub[I - 1] + 1; };
-  for (unsigned I = 0; I != Out.Dim + 1; ++I)
-    for (unsigned J = 0; J != Out.Dim + 1; ++J)
-      Out.at(I, J) = at(Map(I), Map(J));
-  return Out;
 }

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The zone backend of the numeric-domain ladder: difference-bound
+/// The zone backend of the numeric-domain layer: difference-bound
 /// matrices (DBMs) over the rationals. A zone over x_0..x_{d-1} is the
 /// conjunction of constraints `v_i - v_j <= c` over the extended variable
 /// set v_0 = 0, v_{k+1} = x_k, which covers exactly the fragment
@@ -15,10 +15,10 @@
 /// canonical: equality and inclusion are entrywise, join (the zone hull)
 /// is the entrywise maximum, and projection just discards rows.
 ///
-/// Constraints outside the fragment are soundly dropped, which makes the
-/// standalone `--numeric=zones` mode an over-approximation; the ladder
-/// escalates a block to polyhedra before that can happen, so zone blocks
-/// inside a LadderValue are always exact.
+/// Constraints outside the fragment are soundly dropped, which makes
+/// `--numeric=zones` an over-approximation of the exact polyhedra backend:
+/// the cheap relational backend verify-corpus runs, at polynomial cost per
+/// operation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,10 +65,9 @@ public:
   bool equals(const Zones &Other) const;
 
   /// DBM widening: entries of *this not stable in \p Other are dropped.
-  /// The result is re-closed to keep the representation canonical — the
-  /// textbook caveat that closure after widening can delay convergence is
-  /// accepted here because the ladder (the exact mode) widens at the
-  /// polyhedra rung and never calls this.
+  /// The result is re-closed to keep the representation canonical,
+  /// accepting the textbook caveat that closure after widening can delay
+  /// convergence; verify-corpus bounds every solve by its update budget.
   Zones widen(const Zones &Other) const;
 
   /// Rounds each finite entry with the same row rounding the polyhedra
@@ -93,17 +92,6 @@ public:
 
   /// The finite bound of entry v_I - v_J; requires entryFinite(I, J).
   const Rational &entryBound(unsigned I, unsigned J) const;
-
-  /// Partitions the variables into independence classes: two variables
-  /// are related iff some direct difference entry between them is strictly
-  /// tighter than the path through v_0 — i.e. the zone does not factor
-  /// into a product across them. The ladder uses this to split blocks.
-  std::vector<std::vector<unsigned>> packComponents() const;
-
-  /// The sub-zone over the variables in \p Sub (ascending), in their
-  /// order. Exact: a closed DBM restricted to a variable subset is the
-  /// projection onto it.
-  Zones restrictTo(const std::vector<unsigned> &Sub) const;
 
 private:
   /// One matrix entry: an upper bound on v_i - v_j, or +infinity.

@@ -88,7 +88,6 @@ Json statsToJson(const core::SolverStats &S, bool Extrapolating) {
               Json::number(S.Numeric.ConversionCacheHits));
   Numeric.set("conversion_cache_misses",
               Json::number(S.Numeric.ConversionCacheMisses));
-  Numeric.set("escalations", Json::number(S.Numeric.Escalations));
   R.set("numeric", Numeric);
   return R;
 }
@@ -285,7 +284,9 @@ std::string Daemon::handle(const std::string &Payload, bool &Shutdown) {
         core::parseNumericBackend(NumericName);
     if (!Backend)
       return errorReply("invalid-flag-value",
-                        "unknown numeric backend '" + NumericName + "'")
+                        "unknown numeric backend '" + NumericName +
+                            "' (expected " + core::NumericBackendNames +
+                            ")")
           .dump();
     std::shared_ptr<Session> S = sessionFor(SessionName, /*Create=*/true);
     LoadReply LR = S->load(Source->asString(), DomainName, *Backend);

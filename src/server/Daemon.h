@@ -42,7 +42,7 @@ struct DaemonOptions {
 
 /// The daemon: bind/listen/accept plus the request dispatcher. Embeddable
 /// (ServerTest and the SERVED benchmarks run it in-process on an
-/// ephemeral port) as well as the heart of `pmafd` / `pmaf serve`.
+/// ephemeral port) as well as the heart of `pmafd`.
 class Daemon {
 public:
   explicit Daemon(DaemonOptions Opts = {});
@@ -98,7 +98,7 @@ private:
   std::atomic<uint64_t> Requests{0};
 };
 
-/// `pmafd` / `pmaf serve`: run a daemon in the foreground. Prints
+/// `pmafd`: run a daemon in the foreground. Prints
 /// "pmafd: listening on 127.0.0.1:PORT" once ready; returns 0 after a
 /// clean `shutdown` request, 1 when the listener cannot start.
 int runDaemon(const DaemonOptions &Opts);

@@ -15,7 +15,7 @@
 ///
 ///   {"cmd":"load",    "session":"s", "source":"proc main() {...}",
 ///                     "domain":"auto|leia|bi|mdp|termination",
-///                     "numeric":"poly|ladder|zones|intervals"}
+///                     "numeric":"poly|zones"}
 ///   {"cmd":"analyze", "session":"s", "cold":false, "widening_delay":2,
 ///                     "max_updates":1000000}
 ///   {"cmd":"edit",    "session":"s", "source":"<full new source>"}

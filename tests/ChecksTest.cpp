@@ -236,8 +236,8 @@ TEST(CheckerTest, LeiaIntervalContainmentAndDisjointness) {
       x := 1/2;
     }
   )");
-  // Same verdicts under the shipped ladder and the zones backend.
-  ChecksDb SafeDb = checkLeiaProg<poly::LadderValue>(*Safe);
+  // Same verdicts under the exact polyhedra and the zones backend.
+  ChecksDb SafeDb = checkLeiaProg<poly::Polyhedron>(*Safe);
   ASSERT_EQ(SafeDb.total(), 1u);
   EXPECT_EQ(SafeDb.records()[0].TheVerdict, Verdict::Safe);
   EXPECT_EQ(SafeDb.records()[0].Code, "assert-interval-safe");
@@ -245,21 +245,13 @@ TEST(CheckerTest, LeiaIntervalContainmentAndDisjointness) {
   ASSERT_EQ(SafeZ.total(), 1u);
   EXPECT_EQ(SafeZ.records()[0].Code, "assert-interval-safe");
 
-  ChecksDb BadDb = checkLeiaProg<poly::LadderValue>(*Bad);
+  ChecksDb BadDb = checkLeiaProg<poly::Polyhedron>(*Bad);
   ASSERT_EQ(BadDb.total(), 1u);
   EXPECT_EQ(BadDb.records()[0].TheVerdict, Verdict::Error);
   EXPECT_EQ(BadDb.records()[0].Code, "assert-interval-violated");
   ChecksDb BadZ = checkLeiaProg<poly::Zones>(*Bad);
   ASSERT_EQ(BadZ.total(), 1u);
   EXPECT_EQ(BadZ.records()[0].Code, "assert-interval-violated");
-
-  // The non-relational interval backend tops out at the exit identity
-  // (x' = x is not box-expressible), so it degrades both to unproved —
-  // sound, never decisive.
-  EXPECT_EQ(checkLeiaProg<poly::Intervals>(*Safe).records()[0].Code,
-            "assert-interval-unproved");
-  EXPECT_EQ(checkLeiaProg<poly::Intervals>(*Bad).records()[0].Code,
-            "assert-interval-unproved");
 }
 
 TEST(CheckerTest, LeiaIntervalTargetsWithNestedScalars) {
@@ -276,10 +268,10 @@ TEST(CheckerTest, LeiaIntervalTargetsWithNestedScalars) {
     auto Prog = parseProgramOrDie(std::string("real x; proc main() { ") +
                                   "assert_interval(" + Target + ", " +
                                   Value + ", " + Value + "); x := 1; }");
-    ChecksDb Ladder = checkLeiaProg<poly::LadderValue>(*Prog);
-    ASSERT_EQ(Ladder.total(), 1u);
-    EXPECT_EQ(Ladder.records()[0].Code, "assert-interval-safe")
-        << Ladder.records()[0].Message;
+    ChecksDb Poly = checkLeiaProg<poly::Polyhedron>(*Prog);
+    ASSERT_EQ(Poly.total(), 1u);
+    EXPECT_EQ(Poly.records()[0].Code, "assert-interval-safe")
+        << Poly.records()[0].Message;
     ChecksDb Zones = checkLeiaProg<poly::Zones>(*Prog);
     ASSERT_EQ(Zones.total(), 1u);
     EXPECT_EQ(Zones.records()[0].Code, "assert-interval-safe")
@@ -288,7 +280,7 @@ TEST(CheckerTest, LeiaIntervalTargetsWithNestedScalars) {
   // A product of two variable terms is not affine.
   auto Square = parseProgramOrDie(
       "real x; proc main() { assert_interval(x * x, 1, 1); x := 1; }");
-  ChecksDb Db = checkLeiaProg<poly::LadderValue>(*Square);
+  ChecksDb Db = checkLeiaProg<poly::Polyhedron>(*Square);
   ASSERT_EQ(Db.total(), 1u);
   EXPECT_EQ(Db.records()[0].TheVerdict, Verdict::Skipped);
   EXPECT_EQ(Db.records()[0].Code, "assert-skipped");
@@ -462,17 +454,15 @@ TEST(SoundnessFuzzTest, IntervalAssertionsLeia) {
     fuzz::GroundTruth GT =
         fuzz::estimateGroundTruth(*Prog, *Planted, Seed + Round, Runs);
     // Zones is the backend verify-corpus runs, poly the one `pmaf` runs by
-    // default, and the ladder the other exact one. The exact backends get
-    // 60 updates. Under the default seed every round converges within 50
-    // but two, which run long on them and come out unproved: round 6
-    // nests two probabilistic loops and needs 2,737 updates (3 s on the
-    // ladder), and round 14's loop over a conditional gains EP facets at
+    // default. Poly gets 60 updates. Under the default seed every round
+    // converges within 50 but two, which run long on it and come out
+    // unproved: round 6 nests two probabilistic loops and needs 2,737
+    // updates, and round 14's loop over a conditional gains EP facets at
     // every iteration, so each update costs more than the last (0.5 s at
     // 60 updates, 64 s at 120). See ROADMAP's Newton item.
     for (const auto &[Backend, Db] :
          {std::pair{"zones", checkLeiaProg<poly::Zones>(*Prog)},
-          std::pair{"poly", checkLeiaProg<poly::Polyhedron>(*Prog, 60)},
-          std::pair{"ladder", checkLeiaProg<poly::LadderValue>(*Prog, 60)}}) {
+          std::pair{"poly", checkLeiaProg<poly::Polyhedron>(*Prog, 60)}}) {
       ASSERT_EQ(Db.total(), 1u) << Backend;
       EXPECT_EQ(fuzz::soundnessViolation(*Planted,
                                          Db.records()[0].TheVerdict, GT,

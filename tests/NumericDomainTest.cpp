@@ -1,20 +1,15 @@
-//===- tests/NumericDomainTest.cpp - The numeric-backend ladder -----------===//
+//===- tests/NumericDomainTest.cpp - The zone backend ---------------------===//
 //
-// Unit and differential tests of the numeric backends below the LEIA
-// domain: intervals, zones (DBMs), and the escalating variable-packed
-// ladder. The differential suites pin down the exactness contract:
-//
-//  * Zones vs Polyhedron agree *exactly* on systems inside the DBM
-//    fragment (bounds and differences) under construction, meet, and
-//    projection — randomized over seeded constraint systems;
-//  * LadderValue vs Polyhedron agree exactly on arbitrary constraint
-//    systems and under random operation sequences (meet / join / project /
-//    widen / permute), checked through LadderValue::toPolyhedron().
+// Unit and differential tests of the zone backend below the LEIA domain
+// (difference-bound matrices) and the constraint classifier it reads
+// constraints with. The differential suite pins down the exactness
+// contract: Zones vs Polyhedron agree *exactly* on systems
+// inside the DBM fragment (bounds and differences) under construction,
+// meet, and projection — randomized over seeded constraint systems — and
+// round large coefficients identically.
 //
 //===----------------------------------------------------------------------===//
 
-#include "poly/Intervals.h"
-#include "poly/Ladder.h"
 #include "poly/Polyhedron.h"
 #include "poly/Zones.h"
 #include "support/Rng.h"
@@ -50,22 +45,6 @@ Constraint randomDbmConstraint(Rng &R, unsigned Dim) {
     E = (var(Dim, X) - var(Dim, Y)).scaled(Rational(A)) + cst(Dim, B);
   }
   // Equalities rarely (they empty the system quickly).
-  Constraint::Kind K =
-      R.below(8) == 0 ? Constraint::Kind::Eq : Constraint::Kind::Ge;
-  return Constraint{E, K};
-}
-
-/// A random general (not necessarily DBM) constraint over up to three
-/// variables.
-Constraint randomGeneralConstraint(Rng &R, unsigned Dim) {
-  LinearExpr E =
-      cst(Dim, static_cast<int64_t>(R.below(17)) - 8);
-  unsigned Terms = 1 + static_cast<unsigned>(R.below(3));
-  for (unsigned T = 0; T != Terms; ++T) {
-    int64_t A = static_cast<int64_t>(R.below(7)) - 3;
-    E = E + var(Dim, static_cast<unsigned>(R.below(Dim)))
-                .scaled(Rational(A));
-  }
   Constraint::Kind K =
       R.below(8) == 0 ? Constraint::Kind::Eq : Constraint::Kind::Ge;
   return Constraint{E, K};
@@ -107,57 +86,6 @@ TEST(ClassifyConstraintTest, Fragments) {
 }
 
 //===----------------------------------------------------------------------===//
-// Intervals
-//===----------------------------------------------------------------------===//
-
-TEST(IntervalsTest, BasicLattice) {
-  Intervals U = Intervals::universe(2);
-  EXPECT_TRUE(U.isUniverse());
-  Intervals A = U.meet(Constraint::ge(var(2, 0), cst(2, 1)))
-                    .meet(Constraint::le(var(2, 0), cst(2, 3)));
-  EXPECT_EQ(A.range(0).Lo, Rational(1));
-  EXPECT_EQ(A.range(0).Hi, Rational(3));
-  EXPECT_TRUE(A.range(1).isFree());
-
-  Intervals B = U.meet(Constraint::ge(var(2, 0), cst(2, 2)))
-                    .meet(Constraint::le(var(2, 0), cst(2, 5)));
-  Intervals J = A.join(B);
-  EXPECT_EQ(J.range(0).Lo, Rational(1));
-  EXPECT_EQ(J.range(0).Hi, Rational(5));
-  EXPECT_TRUE(J.contains(A));
-  EXPECT_TRUE(J.contains(B));
-  EXPECT_TRUE(A.meet(B).equals(
-      U.meet(Constraint::ge(var(2, 0), cst(2, 2)))
-          .meet(Constraint::le(var(2, 0), cst(2, 3)))));
-
-  // Inverted bounds empty the box.
-  EXPECT_TRUE(A.meet(Constraint::ge(var(2, 0), cst(2, 7))).isEmpty());
-}
-
-TEST(IntervalsTest, ProjectWidenMaximize) {
-  Intervals A = Intervals::fromConstraints(
-      2, {Constraint::ge(var(2, 0), cst(2, 0)),
-          Constraint::le(var(2, 0), cst(2, 2)),
-          Constraint::le(var(2, 1), cst(2, 9))});
-  EXPECT_TRUE(A.project({0}).range(0).isFree());
-  EXPECT_EQ(A.project({0}).range(1).Hi, Rational(9));
-
-  Intervals Wider = A.join(Intervals::fromConstraints(
-      2, {Constraint::ge(var(2, 0), cst(2, 0)),
-          Constraint::le(var(2, 0), cst(2, 5)),
-          Constraint::le(var(2, 1), cst(2, 9))}));
-  Intervals W = A.widen(Wider);
-  EXPECT_EQ(W.range(0).Lo, Rational(0)); // Stable bound survives.
-  EXPECT_FALSE(W.range(0).Hi);           // Unstable bound dropped.
-  EXPECT_EQ(W.range(1).Hi, Rational(9));
-
-  EXPECT_EQ(A.maximize(var(2, 0) + cst(2, 1)), Rational(3));
-  EXPECT_EQ(A.minimize(var(2, 0)), Rational(0));
-  EXPECT_EQ(A.maximize(var(2, 1)), Rational(9));
-  EXPECT_FALSE(A.minimize(var(2, 1)).has_value()); // Unbounded below.
-}
-
-//===----------------------------------------------------------------------===//
 // Zones
 //===----------------------------------------------------------------------===//
 
@@ -182,20 +110,6 @@ TEST(ZonesTest, EmptinessAndEquality) {
   Zones B = Zones::fromConstraints(
       2, {Constraint::le(var(2, 0).scaled(Rational(2)), cst(2, 2))});
   EXPECT_TRUE(A.equals(B)); // Scale-invariant parsing.
-}
-
-TEST(ZonesTest, PackComponentsSplitAndCouple) {
-  // Plain bounds on x and y: no genuine coupling, two components.
-  Zones Bounds = Zones::fromConstraints(
-      2, {Constraint::le(var(2, 0), cst(2, 1)),
-          Constraint::le(var(2, 1), cst(2, 2))});
-  EXPECT_EQ(Bounds.packComponents().size(), 2u);
-
-  // A difference strictly tighter than the bound path couples them.
-  Zones Coupled = Bounds.meet(
-      Constraint::le(var(2, 0) - var(2, 1), cst(2, 0)));
-  ASSERT_EQ(Coupled.packComponents().size(), 1u);
-  EXPECT_EQ(Coupled.packComponents()[0].size(), 2u);
 }
 
 TEST(ZonesTest, DifferentialVsPolyhedronOnDbmFragment) {
@@ -232,204 +146,23 @@ TEST(ZonesTest, DifferentialVsPolyhedronOnDbmFragment) {
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Polyhedron::product (the ladder's dualization-free block merge)
-//===----------------------------------------------------------------------===//
-
-TEST(PolyhedronProductTest, ProductEqualsConjunction) {
-  // [0,1] x ([0,2] with x-y <= 1) == the conjunction over 3 dims.
-  Polyhedron A = Polyhedron::fromConstraints(
-      1, {Constraint::ge(var(1, 0), cst(1, 0)),
-          Constraint::le(var(1, 0), cst(1, 1))});
-  Polyhedron B = Polyhedron::fromConstraints(
-      2, {Constraint::ge(var(2, 0), cst(2, 0)),
-          Constraint::le(var(2, 0), cst(2, 2)),
-          Constraint::le(var(2, 0) - var(2, 1), cst(2, 1))});
-  Polyhedron Prod = Polyhedron::product(A, B);
-  ASSERT_EQ(Prod.dim(), 3u);
-  Polyhedron Expect = Polyhedron::fromConstraints(
-      3, {Constraint::ge(var(3, 0), cst(3, 0)),
-          Constraint::le(var(3, 0), cst(3, 1)),
-          Constraint::ge(var(3, 1), cst(3, 0)),
-          Constraint::le(var(3, 1), cst(3, 2)),
-          Constraint::le(var(3, 1) - var(3, 2), cst(3, 1))});
-  EXPECT_TRUE(Prod.equals(Expect));
-}
-
-TEST(PolyhedronProductTest, ProductWithUnboundedFactor) {
-  // An unbounded factor (a ray) must survive the product.
-  Polyhedron A = Polyhedron::fromConstraints(
-      1, {Constraint::ge(var(1, 0), cst(1, 2))});
-  Polyhedron B = Polyhedron::fromConstraints(
-      1, {Constraint::eq(var(1, 0), cst(1, 5))});
-  Polyhedron Prod = Polyhedron::product(A, B);
-  EXPECT_FALSE(Prod.maximize(var(2, 0)).has_value());
-  EXPECT_EQ(Prod.minimize(var(2, 0)), Rational(2));
-  EXPECT_EQ(Prod.maximize(var(2, 1)), Rational(5));
-}
-
-//===----------------------------------------------------------------------===//
-// LadderValue
-//===----------------------------------------------------------------------===//
-
-TEST(LadderTest, PacksStayAtTheCheapestRung) {
-  using Rung = LadderValue::Rung;
-  LadderValue V = LadderValue::universe(4);
-  EXPECT_TRUE(V.isUniverse());
-
-  // Independent bounds: every block is a single-variable box.
-  V = V.meet(Constraint::ge(var(4, 0), cst(4, 0)))
-          .meet(Constraint::le(var(4, 2), cst(4, 7)));
-  for (const auto &[Size, R] : V.blockProfile()) {
-    EXPECT_EQ(Size, 1u);
-    EXPECT_EQ(R, Rung::Box);
+TEST(ZonesTest, RoundedCoefficientsMatchesPolyhedron) {
+  // A bound and a difference whose denominators pass 2^40: rounded at 40
+  // bits, the zone must land on the polyhedron the polyhedra backend
+  // rounds the same system to (both go through roundConstraintRow).
+  const Rational Awkward(3, (int64_t{1} << 41) + 3);
+  const Constraint Systems[] = {
+      Constraint::ge(var(2, 0), LinearExpr::constant(2, Awkward)),
+      Constraint::le(var(2, 0) - var(2, 1), LinearExpr::constant(2, Awkward)),
+  };
+  for (const Constraint &Con : Systems) {
+    SCOPED_TRACE(Con.toString({}));
+    Zones Z = Zones::fromConstraints(2, {Con});
+    Polyhedron P = Polyhedron::fromConstraints(2, {Con});
+    Polyhedron Rounded = P.roundedCoefficients(40);
+    EXPECT_FALSE(Rounded.equals(P)) << "the system needs no rounding";
+    EXPECT_TRUE(zoneToPoly(Z.roundedCoefficients(40)).equals(Rounded))
+        << "zone:       " << Z.roundedCoefficients(40).toString() << "\n"
+        << "polyhedron: " << Rounded.toString();
   }
-
-  // A difference couples 0 and 1 into a zone block.
-  V = V.meet(Constraint::le(var(4, 0) - var(4, 1), cst(4, 1)));
-  auto Profile = V.blockProfile();
-  ASSERT_EQ(Profile.size(), 3u); // {0,1} zone, {2} box, {3} box.
-  EXPECT_EQ(Profile[0].first, 2u);
-  EXPECT_EQ(Profile[0].second, Rung::Zone);
-
-  // A general 3-variable constraint escalates to one polyhedron block.
-  V = V.meet(Constraint::le(var(4, 0) + var(4, 1) + var(4, 3),
-                            cst(4, 10)));
-  Profile = V.blockProfile();
-  ASSERT_EQ(Profile.size(), 2u); // {0,1,3} poly, {2} box.
-  EXPECT_EQ(Profile[0].first, 3u);
-  EXPECT_EQ(Profile[0].second, Rung::Poly);
-  EXPECT_EQ(Profile[1].first, 1u);
-  EXPECT_EQ(Profile[1].second, Rung::Box);
-}
-
-TEST(LadderTest, ProjectionRecompresses) {
-  // Forgetting the coupling variable of a general constraint lets the
-  // survivors fall back to independent boxes.
-  LadderValue V = LadderValue::fromConstraints(
-      3, {Constraint::le(var(3, 0) + var(3, 1) + var(3, 2), cst(3, 6)),
-          Constraint::ge(var(3, 0), cst(3, 0)),
-          Constraint::ge(var(3, 1), cst(3, 0)),
-          Constraint::ge(var(3, 2), cst(3, 0))});
-  ASSERT_EQ(V.blockProfile().size(), 1u);
-  // x0 + x1 <= 6 remains: still one (general) block over {0, 1} plus the
-  // freed {2}; forgetting x1 as well leaves independent boxes.
-  LadderValue Pr = V.project({2});
-  ASSERT_EQ(Pr.blockProfile().size(), 2u);
-  EXPECT_EQ(Pr.blockProfile()[0].first, 2u);
-  LadderValue Pr2 = V.project({1, 2});
-  for (const auto &[Size, R] : Pr2.blockProfile())
-    EXPECT_EQ(Size, 1u);
-  EXPECT_EQ(Pr2.maximize(var(3, 0)), Rational(6));
-}
-
-TEST(LadderTest, EscalationCounterAdvances) {
-  uint64_t Before =
-      numericCounters().LadderEscalations.load(std::memory_order_relaxed);
-  LadderValue V = LadderValue::universe(2)
-                      .meet(Constraint::le(var(2, 0) - var(2, 1), cst(2, 0)));
-  (void)V;
-  uint64_t After =
-      numericCounters().LadderEscalations.load(std::memory_order_relaxed);
-  EXPECT_GT(After, Before);
-}
-
-TEST(LadderTest, DifferentialVsPolyhedronOnRandomSystems) {
-  // Exactness on arbitrary (mixed-fragment) constraint systems.
-  Rng R(987654321);
-  for (int Iter = 0; Iter != 40; ++Iter) {
-    unsigned Dim = 2 + static_cast<unsigned>(R.below(3));
-    std::vector<Constraint> Cons;
-    unsigned N = 1 + static_cast<unsigned>(R.below(6));
-    for (unsigned I = 0; I != N; ++I)
-      Cons.push_back(R.below(3) == 0 ? randomGeneralConstraint(R, Dim)
-                                     : randomDbmConstraint(R, Dim));
-    LadderValue L = LadderValue::fromConstraints(Dim, Cons);
-    Polyhedron P = Polyhedron::fromConstraints(Dim, Cons);
-    EXPECT_TRUE(L.toPolyhedron().equals(P))
-        << "fromConstraints diverges at iter " << Iter;
-    EXPECT_EQ(L.isEmpty(), P.isEmpty());
-  }
-}
-
-TEST(LadderTest, DifferentialVsPolyhedronOnOpSequences) {
-  // Random operation sequences applied in lockstep to a LadderValue and
-  // a Polyhedron; the two must denote the same set after every step.
-  Rng R(20180613); // PLDI'18.
-  for (int Trial = 0; Trial != 25; ++Trial) {
-    unsigned Dim = 2 + static_cast<unsigned>(R.below(2));
-    LadderValue L = LadderValue::universe(Dim);
-    Polyhedron P = Polyhedron::universe(Dim);
-    for (int Step = 0; Step != 8; ++Step) {
-      switch (R.below(5)) {
-      case 0: { // Meet with a random constraint.
-        Constraint C = R.below(3) == 0 ? randomGeneralConstraint(R, Dim)
-                                       : randomDbmConstraint(R, Dim);
-        L = L.meet(C);
-        P = P.meet(C);
-        break;
-      }
-      case 1: { // Meet with a random system.
-        std::vector<Constraint> Cons{randomDbmConstraint(R, Dim),
-                                     randomDbmConstraint(R, Dim)};
-        L = L.meet(LadderValue::fromConstraints(Dim, Cons));
-        P = P.meet(Polyhedron::fromConstraints(Dim, Cons));
-        break;
-      }
-      case 2: { // Join with a random system (convex hull).
-        std::vector<Constraint> Cons{randomDbmConstraint(R, Dim),
-                                     randomDbmConstraint(R, Dim),
-                                     randomGeneralConstraint(R, Dim)};
-        L = L.join(LadderValue::fromConstraints(Dim, Cons));
-        P = P.join(Polyhedron::fromConstraints(Dim, Cons));
-        break;
-      }
-      case 3: { // Project a random variable.
-        std::vector<unsigned> Forget{static_cast<unsigned>(R.below(Dim))};
-        L = L.project(Forget);
-        P = P.project(Forget);
-        break;
-      }
-      default: { // Widen against self joined with a random system.
-        std::vector<Constraint> Cons{randomDbmConstraint(R, Dim)};
-        LadderValue LN = L.join(LadderValue::fromConstraints(Dim, Cons));
-        Polyhedron PN = P.join(Polyhedron::fromConstraints(Dim, Cons));
-        if (!LN.isEmpty() && !PN.isEmpty()) {
-          L = L.isEmpty() ? LN : L.widen(LN);
-          P = P.isEmpty() ? PN : P.widen(PN);
-        }
-        break;
-      }
-      }
-      ASSERT_TRUE(L.toPolyhedron().equals(P))
-          << "trial " << Trial << " step " << Step << " diverges:\n  L = "
-          << L.toString() << "\n  P = " << P.toString();
-      ASSERT_EQ(L.isEmpty(), P.isEmpty());
-    }
-
-    // Rename and vocabulary surgery on the final value.
-    std::vector<unsigned> Perm(Dim);
-    for (unsigned I = 0; I != Dim; ++I)
-      Perm[I] = (I + 1) % Dim;
-    EXPECT_TRUE(L.permute(Perm).toPolyhedron().equals(P.permute(Perm)));
-    EXPECT_TRUE(L.extend(2).toPolyhedron().equals(P.extend(2)));
-    if (Dim > 1) {
-      EXPECT_TRUE(
-          L.dropTrailing(1).toPolyhedron().equals(P.dropTrailing(1)));
-    }
-  }
-}
-
-TEST(LadderTest, RoundedCoefficientsMatchesPolyhedron) {
-  // Large-denominator bounds round identically on both backends.
-  Rational Awkward(1, (int64_t{1} << 41) + 1);
-  LadderValue L = LadderValue::universe(2).meet(
-      Constraint{var(2, 0) - LinearExpr::constant(2, Awkward),
-                 Constraint::Kind::Ge});
-  Polyhedron P = Polyhedron::universe(2).meet(
-      Constraint{var(2, 0) - LinearExpr::constant(2, Awkward),
-                 Constraint::Kind::Ge});
-  EXPECT_TRUE(
-      L.roundedCoefficients(40).toPolyhedron().equals(
-          P.roundedCoefficients(40)));
 }

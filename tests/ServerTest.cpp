@@ -152,7 +152,7 @@ TEST(ServerSolverTest, LeiaWarmStartBitIdenticalOnRandomPrograms) {
     Rng R(Seed);
     auto Prog = randomRealProgram(R, 3, 4);
     cfg::ProgramGraph Graph = cfg::ProgramGraph::build(*Prog);
-    domains::LeiaDomainT<poly::LadderValue> Dom(*Prog);
+    domains::LeiaDomain Dom(*Prog);
     expectWarmMatchesCold(Dom, Graph, [](core::SolverOptions &) {});
   }
 }
@@ -188,7 +188,7 @@ void expectSessionEditBitIdentical(const BoolGenConfig &Config,
 
     server::Session Warm;
     server::LoadReply LR =
-        Warm.load(SourceA, "bi", core::NumericBackend::Ladder);
+        Warm.load(SourceA, "bi", core::NumericBackend::Poly);
     ASSERT_TRUE(LR.Ok) << LR.Error;
     server::AnalyzeRequest Req;
     server::AnalyzeReply First = Warm.analyze(Req);
@@ -202,7 +202,7 @@ void expectSessionEditBitIdentical(const BoolGenConfig &Config,
     ASSERT_TRUE(Incremental.Converged);
 
     server::Session Cold;
-    ASSERT_TRUE(Cold.load(Edited, "bi", core::NumericBackend::Ladder).Ok);
+    ASSERT_TRUE(Cold.load(Edited, "bi", core::NumericBackend::Poly).Ok);
     server::AnalyzeReply FromScratch = Cold.analyze(Req);
     ASSERT_TRUE(FromScratch.Ok) << FromScratch.Error;
     ASSERT_TRUE(FromScratch.Converged);
@@ -262,7 +262,7 @@ TEST(ServerSessionTest, HelperEditReusesMostTransformerSlots) {
     }
   )";
   server::Session S;
-  ASSERT_TRUE(S.load(Source, "bi", core::NumericBackend::Ladder).Ok);
+  ASSERT_TRUE(S.load(Source, "bi", core::NumericBackend::Poly).Ok);
   ASSERT_TRUE(S.analyze({}).Ok);
   server::EditReply ER = S.edit(Edited);
   ASSERT_TRUE(ER.Ok) << ER.Error;
@@ -278,7 +278,7 @@ TEST(ServerSessionTest, HelperEditReusesMostTransformerSlots) {
 TEST(ServerSessionTest, ShapeChangesFallBackToFullRebuild) {
   server::Session S;
   ASSERT_TRUE(S.load("bool a; proc main() { a := true; }", "bi",
-                     core::NumericBackend::Ladder)
+                     core::NumericBackend::Poly)
                   .Ok);
   ASSERT_TRUE(S.analyze({}).Ok);
   // New variable: the state space changed, values cannot map across.
@@ -295,7 +295,7 @@ TEST(ServerSessionTest, ShapeChangesFallBackToFullRebuild) {
 TEST(ServerSessionTest, BadEditsKeepThePriorProgramResident) {
   server::Session S;
   ASSERT_TRUE(S.load("bool a; proc main() { a := true; }", "bi",
-                     core::NumericBackend::Ladder)
+                     core::NumericBackend::Poly)
                   .Ok);
   server::AnalyzeReply Before = S.analyze({});
   ASSERT_TRUE(Before.Ok);
@@ -329,7 +329,7 @@ TEST(ServerSessionTest, FingerprintSeesBelowSixDigits) {
   };
   const auto Fingerprint = [](const char *Domain, const char *Source) {
     server::Session S;
-    server::LoadReply LR = S.load(Source, Domain, core::NumericBackend::Ladder);
+    server::LoadReply LR = S.load(Source, Domain, core::NumericBackend::Poly);
     EXPECT_TRUE(LR.Ok) << LR.Error;
     server::AnalyzeReply AR = S.analyze({});
     EXPECT_TRUE(AR.Ok) << AR.Error;
@@ -348,7 +348,7 @@ TEST(ServerSessionTest, ProgramsNestedToTheBoundAnalyze) {
     server::Session S;
     server::LoadReply LR =
         S.load(testgen::nestedProgram(Shape, lang::MaxNestingDepth), "auto",
-               core::NumericBackend::Ladder);
+               core::NumericBackend::Poly);
     ASSERT_TRUE(LR.Ok) << LR.Error;
     server::AnalyzeReply AR = S.analyze({});
     ASSERT_TRUE(AR.Ok) << AR.Error;
@@ -503,6 +503,15 @@ TEST(DaemonTest, StableErrorCodes) {
         "parse-error");
     EXPECT_EQ(fieldString(C.request("{\"cmd\":\"load\"}"), "code"),
               "protocol-error");
+    // load's "numeric" accepts the two backends that exist; a deleted one
+    // is an invalid value like any other, and the reply names the valid
+    // ones.
+    server::Json Ladder = C.request(
+        R"({"cmd":"load","session":"n","numeric":"ladder",)"
+        R"("source":"real x; proc main() { x := 1; }"})");
+    EXPECT_EQ(fieldString(Ladder, "code"), "invalid-flag-value");
+    EXPECT_EQ(fieldString(Ladder, "error"),
+              "unknown numeric backend 'ladder' (expected poly, zones)");
     // Out-of-range numeric literals are parse errors of the load; they
     // once aborted the whole daemon (an uncaught std::out_of_range) or
     // held it for a minute (1e300000). The daemon keeps serving.

@@ -4,7 +4,7 @@
 //
 //   pmaf <file.pp> [--domain=leia|bi|mdp|termination] [--decompose]
 //                  [--dot] [--stats] [--werror] [--diag-format=text|json]
-//                  [--numeric=poly|ladder|zones|intervals]
+//                  [--numeric=poly|zones]
 //                  [--widening-delay=<n>] [--max-updates=<n>]
 //   pmaf check <file.pp>... [--domain=leia|bi|mdp|termination]
 //                  [--decompose] [--werror] [--diag-format=text|json]
@@ -13,7 +13,6 @@
 //                  [--werror]
 //   pmaf gen-corpus <dir> [--count=<n>] [--seed=<n>]
 //                  [--family=bi|mdp|leia|mixed]
-//   pmaf serve [--port=<n>]
 //
 // With --domain=leia (default) prints the expectation invariants of every
 // procedure summary; bi prints the posterior from the all-false prior;
@@ -30,10 +29,10 @@
 // --diag-format=json renders machine-readable diagnostics.
 //
 // --numeric (LEIA only) selects the numeric backend of the domain
-// (core::NumericBackend): `poly` (the default) is the monolithic polyhedra
-// of §5.3, `ladder` the exact packed/escalating backend of poly/Ladder.h,
-// and `zones`/`intervals` are cheap sound over-approximations restricted
-// to their fragment.
+// (core::NumericBackend): `poly` (the default) is the exact monolithic
+// polyhedra of §5.3, and `zones` a cheap sound over-approximation
+// restricted to the difference-bound fragment. Any other name is a usage
+// error (exit 2, [invalid-flag-value]).
 //
 // The solver knobs map onto core::SolverOptions: --widening-delay the
 // number of plain updates before widening kicks in (BI never widens, so
@@ -41,8 +40,7 @@
 // node-update budget. Every solve runs on one thread, iterating a
 // worklist in WTO order (core/Solver.h). --stats prints the settings the
 // domain uses, the solve's counters (core::SolverStats) including the
-// interpret-cache traffic and the numeric-layer counters (the ladder's
-// escalations and pack width only under --numeric=ladder), and the wall
+// interpret-cache traffic and the numeric-layer counters, and the wall
 // clock of the solve. For LEIA the solver line also counts the
 // extrapolated loop-head fixpoints (offered / accepted by the exact
 // check) and says whether one exact pass confirms F(X) ⊑ X at every node
@@ -81,8 +79,7 @@
 #include "checks/Fuzz.h"
 #include "core/Solver.h"
 #include "driver/Pipeline.h"
-#include "server/Daemon.h"
-#include "server/Protocol.h"
+#include "support/JsonEscape.h"
 #include "support/NumParse.h"
 #include "support/ThreadPool.h"
 
@@ -116,7 +113,7 @@ int usage(const char *Argv0) {
                "usage: %s <file.pp | -> [--domain=leia|bi|mdp|termination]"
                " [--decompose] [--dot] [--stats] [--werror]"
                " [--diag-format=text|json]"
-               " [--numeric=poly|ladder|zones|intervals]"
+               " [--numeric=poly|zones]"
                " [--widening-delay=<n>] [--max-updates=<n>]\n"
                "       %s check <file.pp>..."
                " [--domain=leia|bi|mdp|termination] [--decompose]"
@@ -125,9 +122,8 @@ int usage(const char *Argv0) {
                " [--seed=<n>] [--runs=<n>] [--max-updates=<n>]"
                " [--out=<file>] [--werror]\n"
                "       %s gen-corpus <dir> [--count=<n>] [--seed=<n>]"
-               " [--family=bi|mdp|leia|mixed]\n"
-               "       %s serve [--port=<n>]\n",
-               Argv0, Argv0, Argv0, Argv0, Argv0);
+               " [--family=bi|mdp|leia|mixed]\n",
+               Argv0, Argv0, Argv0, Argv0);
   return 2;
 }
 
@@ -222,9 +218,6 @@ struct AnalyzeConfig {
                 U(N.MinimizationCalls), N.PeakGeneratorRows,
                 U(N.ConversionCacheHits), U(N.ConversionCacheMisses),
                 U(N.CacheEvictions));
-    if (Opts.Numeric == core::NumericBackend::Ladder)
-      std::printf("; ladder: %llu escalations, max pack width %u\n",
-                  U(N.Escalations), N.MaxPackWidth);
   }
 };
 
@@ -334,11 +327,11 @@ CorpusFileOutcome processCorpusFile(const std::string &Path,
   const lang::Program &Prog = *Front.Prog;
 
   // LEIA runs on zones, not the default backend: a rare random loop
-  // program can drive the ladder's polyhedra escalation into multi-minute
-  // joins, and corpus verification needs bounded per-file cost. Zones
-  // stays relational (it keeps the exit identity x' = x that boxes lose)
-  // at polynomial cost, and the checker verdict logic is
-  // backend-independent.
+  // program keeps exact polyhedra busy for minutes (a loop over a
+  // conditional can gain EP facets at every iteration), and corpus
+  // verification needs bounded per-file cost. Zones stays relational (it
+  // keeps the exit identity x' = x) at polynomial cost, and the checker
+  // verdict logic is backend-independent.
   cfg::ProgramGraph Graph = cfg::ProgramGraph::build(Prog);
   driver::withBox(*Front.Domain, NumericBackend::Zones,
                   [&]<typename Box>(std::type_identity<Box>) {
@@ -445,7 +438,9 @@ int runVerifyCorpus(const std::vector<std::string> &Paths,
   for (size_t I = 0; I != Violations.size(); ++I) {
     if (I)
       Json += ", ";
-    server::appendJsonString(Json, Violations[I]);
+    Json += '"';
+    support::appendJsonEscaped(Json, Violations[I]);
+    Json += '"';
   }
   Json += "], \"checks\": " + Global.toJson() + "}";
   if (!Opts.OutPath.empty()) {
@@ -548,19 +543,16 @@ int main(int argc, char **argv) {
   bool CheckMode = argc > 1 && std::strcmp(argv[1], "check") == 0;
   bool CorpusMode = argc > 1 && std::strcmp(argv[1], "verify-corpus") == 0;
   bool GenMode = argc > 1 && std::strcmp(argv[1], "gen-corpus") == 0;
-  bool ServeMode = argc > 1 && std::strcmp(argv[1], "serve") == 0;
   std::vector<std::string> Paths;
   std::string Domain = "leia";
   bool DomainExplicit = false;
   bool Decompose = false, EmitDot = false;
   uint64_t Seed = 1;
   unsigned Count = 100, Runs = 2000;
-  uint16_t Port = 0;
   std::string OutPath, Family = "mixed";
   std::optional<unsigned> Jobs;
   AnalyzeConfig Config;
-  for (int I = (CheckMode || CorpusMode || GenMode || ServeMode) ? 2 : 1;
-       I < argc; ++I) {
+  for (int I = (CheckMode || CorpusMode || GenMode) ? 2 : 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (Arg.rfind("--domain=", 0) == 0) {
       Domain = Arg.substr(9);
@@ -589,9 +581,11 @@ int main(int argc, char **argv) {
     else if (Arg.rfind("--numeric=", 0) == 0) {
       Config.Numeric = parseNumericBackend(Arg.substr(10));
       if (!Config.Numeric) {
-        std::fprintf(stderr, "error: unknown numeric backend %s\n",
-                     Arg.substr(10).c_str());
-        return usage(argv[0]);
+        std::fprintf(stderr,
+                     "error: unknown numeric backend '%s' (expected %s) "
+                     "[invalid-flag-value]\n",
+                     Arg.substr(10).c_str(), NumericBackendNames);
+        return 2;
       }
     } else if (Arg.rfind("--widening-delay=", 0) == 0) {
       if (!parseFlag(Arg, "--widening-delay", Config.WideningDelay.emplace()))
@@ -611,9 +605,6 @@ int main(int argc, char **argv) {
     } else if (Arg.rfind("--count=", 0) == 0) {
       if (!parseFlag(Arg, "--count", Count))
         return 2;
-    } else if (Arg.rfind("--port=", 0) == 0) {
-      if (!parseFlag(Arg, "--port", Port))
-        return 2;
     } else if (Arg.rfind("--out=", 0) == 0)
       OutPath = Arg.substr(6);
     else if (Arg.rfind("--family=", 0) == 0) {
@@ -630,7 +621,7 @@ int main(int argc, char **argv) {
   const char *JobsIgnored =
       "--jobs sets the worker count of verify-corpus; every other mode "
       "runs on one thread";
-  if (Jobs && (CheckMode || GenMode || ServeMode))
+  if (Jobs && (CheckMode || GenMode))
     std::fprintf(stderr, "warning: %s [option-ignored]\n", JobsIgnored);
   if (CheckMode)
     return runCheck(Paths, DomainExplicit ? Domain : std::string(),
@@ -652,14 +643,6 @@ int main(int argc, char **argv) {
       return usage(argv[0]);
     return runGenCorpus(Paths[0], Count, Seed, Family);
   }
-  if (ServeMode) {
-    // `pmaf serve` is the in-binary spelling of pmafd: same daemon, same
-    // protocol, handy when only the CLI is deployed.
-    server::DaemonOptions DOpts;
-    DOpts.Port = Port;
-    return server::runDaemon(DOpts);
-  }
-
   if (Paths.size() != 1)
     return usage(argv[0]);
   const std::string &Path = Paths[0];

@@ -6,8 +6,7 @@
 ///
 /// \file
 /// pmafd: the standalone analysis daemon. Listens on 127.0.0.1 and
-/// serves the length-prefixed JSON protocol of server/Protocol.h;
-/// `pmaf serve` is the same daemon reached through the main CLI.
+/// serves the length-prefixed JSON protocol of server/Protocol.h.
 ///
 ///   pmafd [--port=N]
 ///
